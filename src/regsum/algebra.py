@@ -86,12 +86,24 @@ class Polynomial:
         return Fraction(0)
 
     def __call__(self, x: RationalLike) -> Fraction:
-        """Evaluate exactly at a rational point by Horner's scheme."""
-        x = as_rational(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Evaluate exactly at a rational point by Horner's scheme on ints.
+
+        With the coefficients written as A_i / L over their common
+        denominator L and x = p/q, the value is
+        (sum_i A_i p^i q^(d-i)) / (L q^d); one Fraction is built at the end.
+        """
+        p, q = as_rational(x).as_integer_ratio()
+        if not self.coeffs:
+            return Fraction(0)
+        pairs = [c.as_integer_ratio() for c in self.coeffs]
+        den = math.lcm(*[d for _, d in pairs])
+        a, d = pairs[-1]
+        acc = a * (den // d)
+        q_power = 1
+        for a, d in pairs[-2::-1]:
+            q_power *= q
+            acc = acc * p + a * (den // d) * q_power
+        return Fraction(acc, den * q_power)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Polynomial):

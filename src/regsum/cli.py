@@ -25,6 +25,7 @@ from .summation import (
     ConvergenceReport,
     NotConvergedError,
     SummationMethod,
+    _sig12,
     abel_limit,
     cesaro_auto,
     cesaro_limit,
@@ -129,11 +130,16 @@ def _parse_method(text: str, req: CliRequest) -> SummationMethod:
     )
 
 
+def _print_json(payload: dict) -> None:
+    """Print one strict JSON object: NaN and infinities are refused."""
+    print(json.dumps(payload, allow_nan=False))
+
+
 def _emit(req: CliRequest, lines: list[tuple[str, object]], json_extra: dict) -> None:
     if req.output == "json":
         payload = {"request": req.echo()}
         payload.update(json_extra)
-        print(json.dumps(payload))
+        _print_json(payload)
     else:
         for key, value in lines:
             print(f"{key}: {value}")
@@ -210,8 +216,8 @@ def _request_from_args(args: argparse.Namespace) -> CliRequest:
             raise CliError("--terms: need at least 16")
     if hasattr(args, "tol"):
         req.tol = args.tol
-        if req.tol <= 0:
-            raise CliError("--tol: must be positive")
+        if not (0 < req.tol < math.inf):
+            raise CliError("--tol: must be positive and finite")
     req.polynomial = getattr(args, "poly", None)
     req.operator = getattr(args, "op", None) or getattr(args, "operator", None)
     req.series = getattr(args, "series", None)
@@ -287,7 +293,7 @@ def cmd_sum(req: CliRequest) -> int:
     ]
     _emit(req, lines, {
         "value_exact": _rat(exact) if exact is not None else None,
-        "value_float": float(_flt(report.value)),
+        "value_float": _sig12(report.value),
         "method": report.method_used.describe(),
         "order_used": report.order_used,
         "terms_used": report.terms_used,
@@ -301,7 +307,7 @@ def cmd_euler(req: CliRequest) -> int:
         raise CliError("n_max: must be a nonnegative integer")
     table = euler_numbers(req.n_arg)
     if req.output == "json":
-        print(json.dumps({"request": req.echo(), "values": table.to_json_list()}))
+        _print_json({"request": req.echo(), "values": table.to_json_list()})
     else:
         for k, v in enumerate(table.values):
             print(f"E_{k}: {v}")
@@ -312,7 +318,7 @@ def _report_out(req: CliRequest, report: ConvergenceReport) -> int:
     if req.output == "json":
         payload = {"request": req.echo()}
         payload.update(report.to_json_dict())
-        print(json.dumps(payload))
+        _print_json(payload)
     else:
         for key, value in report.to_json_dict().items():
             print(f"{key}: {value}")
@@ -353,8 +359,7 @@ def cmd_symbol(req: CliRequest) -> int:
     except ParseError as exc:
         raise CliError(f"operator: {exc}") from None
     if req.output == "json":
-        print(json.dumps({"request": req.echo(),
-                          "coefficients": op.symbol.to_strings()}))
+        _print_json({"request": req.echo(), "coefficients": op.symbol.to_strings()})
     else:
         print(op.symbol)
     return EXIT_OK
@@ -521,7 +526,7 @@ def cmd_check(req: CliRequest, seed: int) -> int:
     say = messages.append
     ok = _SUITES[req.suite](rng, say)
     if req.output == "json":
-        print(json.dumps({"request": req.echo(), "passed": ok, "log": messages}))
+        _print_json({"request": req.echo(), "passed": ok, "log": messages})
     else:
         for line in messages:
             print(line)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .algebra import Polynomial, RationalLike, as_rational
 from .operators import OperatorSpec
@@ -26,9 +26,9 @@ from .summation import (
     ConvergenceReport,
     SeriesSpec,
     SummationMethod,
+    _memoized,
     cauchy_product,
     evaluate,
-    falling_factorial_value,
 )
 
 PROV_EXACT = "exact-closed-form"
@@ -109,6 +109,14 @@ def reg_derivatives(
     values: list[Union[Fraction, float]] = []
     provenance: list[str] = []
     reports: list[Optional[ConvergenceReport]] = []
+    # a_n, shared by every k of this call.  Only the iterated-mean budget
+    # is kept: a power-boundary scan can run to ~10^6 terms, which are
+    # computed afresh rather than held.
+    memo = _memoized(f.term)
+
+    def base(n: int) -> Fraction:
+        return memo(n) if n <= method.n_max else f.term(n)
+
     for k in range(k_max + 1):
         if f.exact_reg_deriv is not None:
             closed = f.exact_reg_deriv(k, c, method)
@@ -118,7 +126,7 @@ def reg_derivatives(
                 reports.append(None)
                 continue
         if c == 0:
-            values.append(Fraction(math.factorial(k)) * f.term(k))
+            values.append(Fraction(math.factorial(k)) * base(k))
             provenance.append(PROV_EXACT)
             reports.append(None)
             continue
@@ -127,7 +135,7 @@ def reg_derivatives(
                 f"no closed form for derivative order {k} of {f.label or f.kind} "
                 f"at c={c}; use a numeric method"
             )
-        derived = _derivative_series(f, c, k)
+        derived = _derivative_series(f, base, c, k)
         report = evaluate(derived, method)
         if not report.converged:
             raise NotRegularError(
@@ -142,11 +150,26 @@ def reg_derivatives(
     return RegularizedDerivatives(c, values, provenance, method, reports)
 
 
-def _derivative_series(f: SeriesSpec, c: Fraction, k: int) -> SeriesSpec:
+def _derivative_series(
+    f: SeriesSpec, base: Callable[[int], Fraction], c: Fraction, k: int
+) -> SeriesSpec:
+    """The series a_n [n]_k c^(n-k), with a_n = base(n); each term is one
+    Fraction built from ints.  As in Fraction multiplication, a_n and
+    [n]_k c^(n-k) are cancelled against each other first, so the gcds and
+    divisions run on the factors rather than on the full products."""
+    p, q = c.numerator, c.denominator
+
     def term(n: int) -> Fraction:
         if n < k:
             return Fraction(0)
-        return f.term(n) * falling_factorial_value(n, k) * c ** (n - k)
+        a = base(n)
+        if not isinstance(a, (int, Fraction)):
+            raise TypeError(f"series term {a!r} is not an exact rational")
+        an, ad = a.numerator, a.denominator
+        m = n - k
+        num, den = math.perm(n, k) * p ** m, q ** m  # [n]_k c^m, unreduced
+        g1, g2 = math.gcd(an, den), math.gcd(num, ad)
+        return Fraction(an // g1 * (num // g2), ad // g2 * (den // g1))
 
     return SeriesSpec(term, kind="custom", label=f"d^{k}[{f.label or f.kind}]@{c}")
 

@@ -3,10 +3,11 @@
 Three methods share one report shape: classical partial sums, iterated-mean
 summation of integer order k (ratio of k+1-fold prefix sums to binom(n+k,k)),
 and power-boundary summation (evaluate sum a_n t^n inside the unit interval,
-extrapolate t -> 1).  Prefix sums are kept in exact rationals and converted
-to float only at the final ratio, because the alternating cancellation these
-series live on makes float accumulation untrustworthy.  This engine is the
-independent cross-check for the exact closed forms elsewhere in the package.
+extrapolate t -> 1).  Prefix sums are kept exact, as Python ints over one
+common denominator of the terms, and converted to float only at the final
+ratio, because the alternating cancellation these series live on makes float
+accumulation untrustworthy.  This engine is the independent cross-check for
+the exact closed forms elsewhere in the package.
 """
 
 from __future__ import annotations
@@ -105,7 +106,8 @@ class ConvergenceReport:
     provenance: Optional[str] = None
 
     def to_json_dict(self) -> dict:
-        """Plain-data form; floats rounded to 12 significant digits."""
+        """Plain-data form; floats rounded to 12 significant digits, and a
+        non-finite value or residual as None (JSON null)."""
         out = {
             "value": _sig12(self.value),
             "exact": str(self.exact) if self.exact is not None else None,
@@ -120,12 +122,12 @@ class ConvergenceReport:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
+        return json.dumps(self.to_json_dict(), allow_nan=False)
 
 
-def _sig12(x: float) -> float:
+def _sig12(x: float) -> Optional[float]:
     if not math.isfinite(x):
-        return x
+        return None
     return float(f"{x:.12g}")
 
 
@@ -290,27 +292,68 @@ def cauchy_product(a: SeriesSpec, b: SeriesSpec) -> SeriesSpec:
 # Iterated-mean (Cesaro-type) engine
 
 
-def _prefix_pass(values: list[Fraction]) -> None:
-    acc = Fraction(0)
+def _scaled_terms(a: SeriesSpec, count: int) -> tuple[list[int], int]:
+    """The first ``count`` terms as ints over their least common denominator
+    D: returns (numerators, D) with a_n = numerators[n] / D exactly.  The
+    term list is converted in place, so its Fractions are dropped as they
+    are scaled."""
+    terms = a.terms(count)
+    for t in terms:
+        if not isinstance(t, (int, Fraction)):
+            raise TypeError(f"series term {t!r} is not an exact rational")
+    # Distinct denominators in term order: successive lcm steps then mostly
+    # meet a multiple of the running lcm, which keeps each gcd cheap.
+    den = math.lcm(*dict.fromkeys(t.denominator for t in terms))
+    # Scale factors den // d, walked backwards: when d divides the following
+    # term's denominator (as in geometric-like sequences) the factor follows
+    # from that term's by a small multiplication instead of a long division.
+    factor, following = 1, den
+    for i in range(count - 1, -1, -1):
+        t = terms[i]
+        d = t.denominator
+        if d != following:
+            quotient, rest = divmod(following, d)
+            factor = factor * quotient if rest == 0 else den // d
+            following = d
+        terms[i] = t.numerator * factor
+    return terms, den
+
+
+def _prefix_pass(values: list[int]) -> None:
+    # In place: a second list of (possibly long) ints would double the peak.
+    acc = 0
     for i, v in enumerate(values):
         acc += v
         values[i] = acc
 
 
+def _ratio(num: int, den: int) -> float:
+    """num/den (den > 0) correctly rounded; +-inf when it overflows a float."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
 def _checkpoint_report(
-    sums: list[Fraction], k: int, method: SummationMethod
+    sums: list[int], den: int, k: int, method: SummationMethod
 ) -> ConvergenceReport:
+    # sums[n] / den is the exact (k+1)-fold prefix sum at n.
     # Alternating series one mean short of their summability order produce
     # ratio estimates with a non-decaying even/odd oscillation; checkpoints
     # at N/4, N/2, N can all share a parity, so the neighbor estimate at N-1
-    # joins the gap test to rule that false agreement out.
+    # joins the gap test to rule that false agreement out.  An estimate too
+    # large for a float is infinite and makes the residual infinite.
     n_last = len(sums) - 1
     points = sorted({max(1, n_last // 4), max(1, n_last // 2), n_last})
-    estimates = [float(sums[n] / math.comb(n + k, k)) for n in points]
-    gaps = [abs(b - a) for a, b in zip(estimates, estimates[1:])]
-    neighbor = float(sums[n_last - 1] / math.comb(n_last - 1 + k, k))
-    gaps.append(abs(estimates[-1] - neighbor))
-    residual = max(gaps)
+    estimates = [_ratio(sums[n], den * math.comb(n + k, k)) for n in points]
+    neighbor = _ratio(sums[n_last - 1], den * math.comb(n_last - 1 + k, k))
+    if math.isfinite(neighbor) and all(map(math.isfinite, estimates)):
+        gaps = [abs(b - a) for a, b in zip(estimates, estimates[1:])]
+        gaps.append(abs(estimates[-1] - neighbor))
+        residual = max(gaps)
+    else:
+        residual = math.inf
     return ConvergenceReport(
         value=estimates[-1],
         exact=None,
@@ -326,10 +369,12 @@ def cesaro_limit(a: SeriesSpec, k: int, N: int = DEFAULT_TERMS, tol: float = DEF
     """Order-k iterated-mean sum of the series: lim of the (k+1)-fold prefix
     sum at n divided by binom(n+k, k).
 
-    Prefix sums are exact; estimates are compared at the n = N/4, N/2, N
-    checkpoints and the run counts as converged when successive estimates
-    agree within tol.  Budget exhaustion is reported as converged=False,
-    never raised.
+    Prefix sums are exact ints over the terms' common denominator; estimates
+    are compared at the n = N/4, N/2, N checkpoints and the run counts as
+    converged when successive estimates agree within tol.  Budget exhaustion
+    is reported as converged=False, never raised; so is an estimate beyond
+    float range, which gets an infinite residual.  Terms must be ints or
+    Fractions (TypeError otherwise).
     """
     if N < 16:
         raise ValueError("need at least 16 terms for the checkpoint scheme")
@@ -338,10 +383,10 @@ def cesaro_limit(a: SeriesSpec, k: int, N: int = DEFAULT_TERMS, tol: float = DEF
     if k < 0:
         raise ValueError("iterated-mean order must be nonnegative")
     method = SummationMethod("cesaro", order=k, n_max=N, tol=tol)
-    values = a.terms(N + 1)
+    sums, den = _scaled_terms(a, N + 1)
     for _ in range(k + 1):
-        _prefix_pass(values)
-    return _checkpoint_report(values, k, method)
+        _prefix_pass(sums)
+    return _checkpoint_report(sums, den, k, method)
 
 
 def cesaro_auto(
@@ -361,12 +406,12 @@ def cesaro_auto(
         raise ValueError(f"order cap is {MAX_ORDER_CAP}")
     if N < 16:
         raise ValueError("need at least 16 terms for the checkpoint scheme")
-    values = a.terms(N + 1)
+    sums, den = _scaled_terms(a, N + 1)
     best: ConvergenceReport | None = None
     for k in range(k_max + 1):
-        _prefix_pass(values)
+        _prefix_pass(sums)
         method = SummationMethod("cesaro", order=k, n_max=N, tol=tol, k_max=k_max)
-        report = _checkpoint_report(values, k, method)
+        report = _checkpoint_report(sums, den, k, method)
         if report.converged:
             return report
         if best is None or report.residual < best.residual:

@@ -193,3 +193,26 @@ def test_translate_evaluates_at_shifted_point(p, h, x):
 @given(polys, polys)
 def test_derivative_product_rule(p, q):
     assert (p * q).derivative() == p.derivative() * q + p * q.derivative()
+
+
+def fraction_horner(p, x):
+    """Reference evaluation: Horner's scheme carried out in Fractions."""
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+wide_rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6)
+
+
+@given(st.lists(wide_rationals, min_size=0, max_size=12).map(Polynomial),
+       st.one_of(wide_rationals, st.integers(-50, 50)))
+def test_evaluation_matches_fraction_horner(p, x):
+    # The integer Horner must give the same reduced Fraction, including the
+    # zero polynomial and negative or fractional points.
+    expect = fraction_horner(p, Fraction(x))
+    value = p(x)
+    assert type(value) is Fraction
+    assert (value.numerator, value.denominator) == (expect.numerator, expect.denominator)
+    assert p(str(Fraction(x))) == expect

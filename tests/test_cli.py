@@ -1,8 +1,12 @@
 """Command-line interface: subcommands, output modes, exit codes."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regsum.cli import main
 
@@ -11,6 +15,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and the infinities."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def text_fields(out):
@@ -224,6 +236,48 @@ def test_abel_subcommand(capsys):
     assert abs(payload["value"] - 0.6931471805599453) <= 1e-4
 
 
+def test_abel_non_finite_json_is_strict(capsys):
+    code, out, _ = run(capsys, "abel", "--series", "geom:-2", "-o", "json")
+    assert code == 2
+    payload = strict_json(out)
+    assert payload["converged"] is False
+    assert payload["value"] is None and payload["residual"] is None
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_cesaro_float_overflow_exits_2(capsys, output):
+    # the partial sums of 1 - 2 + 4 - ... pass the float range before N
+    code, out, err = run(capsys, "cesaro", "--series", "geom:-2", "-o", output)
+    assert code == 2
+    assert err == ""
+    if output == "json":
+        payload = strict_json(out)
+        assert payload["value"] is None and payload["residual"] is None
+    else:
+        assert text_fields(out)["value"] == "None"
+    assert "false" in out.lower()
+
+
+@pytest.mark.parametrize("argv", [
+    ("--series", "geom:-2", "--poly", "x^2"),
+    ("--series", "geom:3", "--poly", "1", "--method", "classical"),
+])
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_sum_float_overflow_exits_2(capsys, argv, output):
+    code, out, err = run(capsys, "sum", *argv, "-o", output)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "did not converge" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+def test_tol_must_be_positive_and_finite(capsys, tol):
+    code, out, err = run(capsys, "cesaro", "--series", "alt", "--tol", tol, "-o", "json")
+    assert code == 1
+    assert out == ""
+    assert "--tol" in err
+
+
 def test_terms_env_override(capsys, monkeypatch):
     monkeypatch.setenv("REGSUM_TERMS", "2048")
     code, out, _ = run(capsys, "cesaro", "--series", "alt", "--k", "1")
@@ -293,3 +347,47 @@ def test_missing_subcommand(capsys):
     code, _, err = run(capsys)
     assert code == 1
     assert err.startswith("error:")
+
+
+# ---------------------------------------------------------------------------
+# fuzzing over series literals
+
+
+FUZZ_POLYS = ["1", "x", "x^2 - 1/2", "3*x^3 + x", "-2/3*x^4 + 5"]
+RATIOS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+def _quick_power_boundary(r):
+    # Positive ratios in (1/2, 1] make the power-boundary scan run for
+    # seconds to minutes (Fraction powers r^n for tens of thousands of n),
+    # so the abel draws leave them out.
+    return not Fraction(1, 2) < r <= 1
+
+
+@st.composite
+def series_argv(draw):
+    command = draw(st.sampled_from(["cesaro", "abel", "sum"]))
+    ratios = RATIOS.filter(_quick_power_boundary) if command == "abel" else RATIOS
+    series = draw(st.one_of(st.sampled_from(["alt", "altlog"]),
+                            ratios.map(lambda r: f"geom:{r}")))
+    argv = [command, f"--series={series}", "-N", str(draw(st.integers(16, 700)))]
+    if command == "sum":
+        argv.append(f"--poly={draw(st.sampled_from(FUZZ_POLYS))}")
+    if command == "cesaro" and draw(st.booleans()):
+        argv += ["--k", str(draw(st.integers(0, 4)))]
+    return argv + ["-o", draw(st.sampled_from(["text", "json"]))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(series_argv())
+def test_series_literal_fuzz(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if argv[-1] == "json":
+        if out.getvalue():
+            payload = strict_json(out.getvalue())
+            assert payload["request"]["subcommand"] == argv[0]
+        else:
+            assert code == 2 and err.getvalue().startswith("error:")

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from regsum.algebra import Polynomial, binomial_poly, parse_polynomial
-from regsum.operators import op_delta, op_diff, op_scaled_sum, op_shift
+from regsum.operators import op_delta, op_diff, op_scaled_sum, op_shift, parse_operator
 from regsum.power_series import PowerSeries, working_order
 from regsum.regularize import (
     EulerTable,
@@ -26,6 +26,9 @@ from regsum.regularize import (
 from regsum.summation import (
     SummationMethod,
     cesaro_auto,
+    evaluate,
+    falling_factorial_value,
+    parse_series,
     series_alt,
     series_alt_log,
     series_custom,
@@ -92,6 +95,28 @@ def test_derivatives_inside_the_radius_go_numeric():
     for k in range(3):
         assert abs(derivs.values[k] - float(expect[k])) <= 1e-3
         assert derivs.provenance[k] == "numeric-cesaro"
+
+
+@pytest.mark.parametrize("series, operator, method, k_max", [
+    ("geom:1/2", "symbol:[1/3,1]", SummationMethod("cesaro", order="auto", n_max=600), 3),
+    ("altlog", "symbol:[-2/5,1,1/2]", SummationMethod("cesaro", order="auto", n_max=600), 3),
+    ("geom:-3/2", "symbol:[-1/2,1]", SummationMethod("classical", n_max=600), 2),
+    ("geom:-1", "shift:1", SummationMethod("abel"), 1),
+])
+def test_numeric_derivatives_match_the_fraction_term_formula(series, operator, method, k_max):
+    # Each numeric v_k must equal the engine run on the terms
+    # a_n [n]_k c^(n-k) formed by Fraction arithmetic, report and all.
+    f = parse_series(series)
+    c, _ = parse_operator(operator).remainder()
+    derivs = reg_derivatives(f, c, method, k_max)
+    for k in range(k_max + 1):
+        reference = series_custom(
+            lambda n, k=k: Fraction(0) if n < k
+            else f.term(n) * falling_factorial_value(n, k) * c ** (n - k))
+        report = evaluate(reference, method)
+        assert derivs.provenance[k] != "exact-closed-form"
+        assert derivs.reports[k] == report
+        assert derivs.values[k] == report.value
 
 
 def test_abel_route_tags_provenance():

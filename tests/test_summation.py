@@ -33,6 +33,14 @@ ALT = series_alt()
 ALTLOG = series_alt_log()
 
 
+def strict_loads(text):
+    """json.loads that refuses NaN and the infinities."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def alt_weighted():
     # a_n = (-1)^n (n+1), the convolution square of the alternating units
     return series_custom(lambda n: Fraction((-1) ** n * (n + 1)), "alt-weighted")
@@ -284,6 +292,96 @@ def test_regularity_on_convergent_builtins():
             assert abs(r.value - classical) <= 1e-3, (series.label, k, r.value)
 
 
+def test_estimates_beyond_float_range_report_not_converged():
+    # 2^4000 and 3^4000 overflow a float: the run reports, it does not raise
+    for report in (cesaro_auto(series_geometric(-2)), cesaro_limit(series_geometric(3), 0)):
+        assert not report.converged
+        assert report.residual == math.inf
+        assert math.isinf(report.value)
+        d = report.to_json_dict()
+        assert d["value"] is None and d["residual"] is None
+        assert strict_loads(report.to_json()) == d
+    small = cesaro_limit(series_geometric(-2), 0, N=100)
+    assert math.isfinite(small.value) and math.isfinite(small.residual)
+    assert not small.converged
+
+
+def test_cesaro_rejects_inexact_terms():
+    floats = series_custom(lambda n: 0.5 * (-1) ** n, "floats")
+    with pytest.raises(TypeError):
+        cesaro_limit(floats, 1, N=16)
+    with pytest.raises(TypeError):
+        cesaro_auto(floats, N=16)
+
+
+# ---------------------------------------------------------------------------
+# integer prefix sums against the Fraction reference
+
+
+def _fraction_prefix_pass(values):
+    acc = Fraction(0)
+    for i, v in enumerate(values):
+        acc += v
+        values[i] = acc
+
+
+def _fraction_checkpoint_report(sums, k, method):
+    n_last = len(sums) - 1
+    points = sorted({max(1, n_last // 4), max(1, n_last // 2), n_last})
+    estimates = [float(sums[n] / math.comb(n + k, k)) for n in points]
+    gaps = [abs(b - a) for a, b in zip(estimates, estimates[1:])]
+    neighbor = float(sums[n_last - 1] / math.comb(n_last - 1 + k, k))
+    gaps.append(abs(estimates[-1] - neighbor))
+    residual = max(gaps)
+    return ConvergenceReport(
+        value=estimates[-1], exact=None, method_used=method, order_used=k,
+        terms_used=n_last + 1, converged=residual <= method.tol, residual=residual,
+    )
+
+
+def reference_cesaro_limit(a, k, N, tol=1e-3):
+    """The order-k engine with its prefix sums kept in Fractions."""
+    values = a.terms(N + 1)
+    for _ in range(k + 1):
+        _fraction_prefix_pass(values)
+    method = SummationMethod("cesaro", order=k, n_max=N, tol=tol)
+    return _fraction_checkpoint_report(values, k, method)
+
+
+def reference_cesaro_auto(a, k_max, N, tol=1e-3):
+    """The escalating engine with its prefix sums kept in Fractions."""
+    values = a.terms(N + 1)
+    best = None
+    for k in range(k_max + 1):
+        _fraction_prefix_pass(values)
+        method = SummationMethod("cesaro", order=k, n_max=N, tol=tol, k_max=k_max)
+        report = _fraction_checkpoint_report(values, k, method)
+        if report.converged:
+            return report
+        if best is None or report.residual < best.residual:
+            best = report
+    return best
+
+
+REFERENCE_SERIES = [
+    series_table(["1", "-1/2", "2/3", "-5/4", "7/10", "-3/7", "11/12"]),
+    ALTLOG,
+    alt_weighted(),
+    # divergent, with the denominators 1..6 recurring
+    series_custom(lambda n: Fraction((-1) ** n * (n + 1), n % 6 + 1), "mixed"),
+]
+
+
+@pytest.mark.parametrize("series", REFERENCE_SERIES, ids=lambda s: s.label)
+@pytest.mark.parametrize("N", [16, 257, 4000])
+def test_integer_prefix_sums_match_fraction_reference(series, N):
+    # every report field, floats included, must be identical
+    for k in range(4):
+        assert cesaro_limit(series, k, N) == reference_cesaro_limit(series, k, N)
+    for k_max in (0, 3, 8):
+        assert cesaro_auto(series, k_max, N) == reference_cesaro_auto(series, k_max, N)
+
+
 # ---------------------------------------------------------------------------
 # power-boundary engine
 
@@ -304,6 +402,16 @@ def test_abel_convergent_geometric():
     r = abel_limit(series_geometric(Fraction(1, 2)))
     assert r.converged
     assert abs(r.value - 2.0) <= 1e-3
+
+
+def test_abel_non_finite_report_is_strict_json():
+    # the first point already drowns in float noise: no estimate at all
+    r = abel_limit(series_geometric(-2))
+    assert not r.converged
+    assert math.isnan(r.value) and r.residual == math.inf
+    d = r.to_json_dict()
+    assert d["value"] is None and d["residual"] is None
+    assert strict_loads(r.to_json()) == d
 
 
 def test_abel_schedule_validation():
