@@ -32,17 +32,12 @@ from .power_series import (
 )
 from .operators import (
     OperatorSpec,
-    op_apply,
-    op_compose,
     op_delta,
     op_diff,
-    op_from_symbol,
     op_identity,
     op_power,
-    op_remainder,
     op_scaled_sum,
     op_shift,
-    op_symbol,
     parse_operator,
 )
 from .summation import (
@@ -71,7 +66,6 @@ from .regularize import (
     NotRegularError,
     RegularizedDerivatives,
     alt_binom_sum,
-    alt_binom_sum_telescoped,
     alt_power_sum,
     euler_alt_sum,
     euler_numbers,
@@ -90,16 +84,15 @@ __all__ = [
     "DomainError", "NonUnitError", "OrderExceededError", "PowerSeries",
     "cosh_series", "exp_series", "geometric_series", "log1p_series",
     "working_order",
-    "OperatorSpec", "op_apply", "op_compose", "op_delta", "op_diff",
-    "op_from_symbol", "op_identity", "op_power", "op_remainder",
-    "op_scaled_sum", "op_shift", "op_symbol", "parse_operator",
+    "OperatorSpec", "op_delta", "op_diff", "op_identity", "op_power",
+    "op_scaled_sum", "op_shift", "parse_operator",
     "ConvergenceReport", "NotConvergedError", "SeriesSpec", "SummationMethod",
     "abel_limit", "cauchy_product", "cesaro_auto", "cesaro_limit", "evaluate",
     "falling_factorial_value", "parse_series", "partial_sums", "series_alt",
     "series_alt_log",
     "series_custom", "series_geometric", "series_table", "shift_check",
     "EulerTable", "InexactDataError", "NotRegularError",
-    "RegularizedDerivatives", "alt_binom_sum", "alt_binom_sum_telescoped",
-    "alt_power_sum", "euler_alt_sum", "euler_numbers", "product_rule_check",
+    "RegularizedDerivatives", "alt_binom_sum", "alt_power_sum",
+    "euler_alt_sum", "euler_numbers", "product_rule_check",
     "reg_derivatives", "reg_operator", "reg_sum",
 ]

@@ -37,6 +37,7 @@ from .summation import (
 from .regularize import (
     InexactDataError,
     NotRegularError,
+    _reduced_values,
     euler_alt_sum,
     euler_numbers,
     product_rule_check,
@@ -281,7 +282,8 @@ def cmd_sum(req: CliRequest) -> int:
         return EXIT_NOT_REGULAR
 
     exact = value if isinstance(value, Fraction) else None
-    lines: list[tuple[str, object]] = [("value_float", _flt(report.value))]
+    value_float = _flt(report.value) if math.isfinite(report.value) else None
+    lines: list[tuple[str, object]] = [("value_float", value_float)]
     if exact is not None:
         lines.append(("value_exact", _rat(exact)))
     lines += [
@@ -354,10 +356,14 @@ def cmd_abel(req: CliRequest) -> int:
 
 def cmd_symbol(req: CliRequest) -> int:
     order = int(req.order) if req.order is not None else 12
+    if order < 0:
+        raise CliError(f"--order: must be nonnegative, got {order}")
     try:
         op = parse_operator(req.operator, order=order)
     except ParseError as exc:
         raise CliError(f"operator: {exc}") from None
+    except ValueError as exc:  # an order too short for the operator, e.g. diff
+        raise CliError(f"--order: {exc}") from None
     if req.output == "json":
         _print_json({"request": req.echo(), "coefficients": op.symbol.to_strings()})
     else:
@@ -475,13 +481,8 @@ def _normalized_alt_instance(
     triple is as random as the original."""
     if p.is_zero:
         return p
-    deg = len(p.coeffs) - 1
-    _, rem = op_shift(h, order=deg + 4).remainder()
-    magnitude = Fraction(0)
-    current = p
-    for k in range(deg + 1):
-        magnitude += abs(current(xv)) / 2 ** (k + 1)
-        current = rem.apply(current)
+    applied = _reduced_values(op_shift(h, order=len(p.coeffs) - 1), p, xv)
+    magnitude = sum(abs(v) / 2 ** (k + 1) for k, v in enumerate(applied))
     return p * Fraction(1, 1 + magnitude.numerator // magnitude.denominator)
 
 

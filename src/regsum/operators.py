@@ -92,26 +92,6 @@ class OperatorSpec:
         return f"<{name}: {self.symbol}>"
 
 
-def op_from_symbol(symbol: PowerSeries, label: str | None = None) -> OperatorSpec:
-    return OperatorSpec(symbol, label)
-
-
-def op_symbol(op: OperatorSpec) -> PowerSeries:
-    return op.symbol
-
-
-def op_apply(op: OperatorSpec, p: Polynomial) -> Polynomial:
-    return op.apply(p)
-
-
-def op_compose(outer: OperatorSpec, inner: OperatorSpec) -> OperatorSpec:
-    return outer.compose(inner)
-
-
-def op_remainder(op: OperatorSpec) -> tuple[Fraction, OperatorSpec]:
-    return op.remainder()
-
-
 def op_identity(order: int = DEFAULT_SYMBOL_ORDER) -> OperatorSpec:
     return OperatorSpec(PowerSeries.constant(1, order), "identity")
 

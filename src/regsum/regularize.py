@@ -21,12 +21,13 @@ from typing import Callable, Optional, Union
 
 from .algebra import Polynomial, RationalLike, as_rational
 from .operators import OperatorSpec
-from .power_series import PowerSeries, cosh_series, working_order
+from .power_series import OrderExceededError, PowerSeries, cosh_series
 from .summation import (
     ConvergenceReport,
     SeriesSpec,
     SummationMethod,
     _memoized,
+    _ratio,
     cauchy_product,
     evaluate,
 )
@@ -174,6 +175,35 @@ def _derivative_series(
     return SeriesSpec(term, kind="custom", label=f"d^{k}[{f.label or f.kind}]@{c}")
 
 
+def _reduction_symbols(T: OperatorSpec, d: int) -> list[PowerSeries]:
+    """The symbols of R^0..R^d through t^d, where R = T - c is T's
+    degree-lowering remainder.  Only these coefficients can act on a
+    polynomial of degree d, so a symbol of T shorter than d is refused."""
+    if T.symbol.order < d:
+        raise OrderExceededError(
+            f"symbol truncated at order {T.symbol.order} cannot act on degree {d}; "
+            "rebuild the operator with a deeper symbol"
+        )
+    r_symbol = PowerSeries([0, *T.symbol.coeffs[1 : d + 1]])
+    powers = [PowerSeries.constant(1, d)]
+    for _ in range(d):
+        powers.append(powers[-1] * r_symbol)
+    return powers
+
+
+def _reduced_values(T: OperatorSpec, P: Polynomial, x: Fraction) -> list[Fraction]:
+    """(R^k P)(x) for k = 0..deg P, as sum_n [t^n]R^k * P^(n)(x); the
+    P^(n)(x) = n! [y^n] P(x + y) come from one Taylor shift."""
+    d = len(P.coeffs) - 1
+    powers = _reduction_symbols(T, d)
+    shifted = P.translate(x)
+    at_x = [shifted.coeff(n) * math.factorial(n) for n in range(d + 1)]
+    return [
+        sum((s * v for s, v in zip(power.coeffs[k:], at_x[k:]) if s), Fraction(0))
+        for k, power in enumerate(powers)
+    ]
+
+
 def reg_operator(
     f: SeriesSpec,
     T: OperatorSpec,
@@ -183,31 +213,25 @@ def reg_operator(
     """The finite operator sum_{k=0}^{degree_cap} v_k/k! (T - c)^k, built by
     symbol arithmetic from exact derivative data.
 
-    Numeric float entries cannot enter the exact symbol ring; when any
-    needed v_k is not a Fraction this raises InexactDataError (evaluate
-    through reg_sum instead, which combines floats scalar-wise).
+    The symbol is exact through t^degree_cap and truncated there, so it
+    refuses (OrderExceededError) polynomials of higher degree.  Numeric
+    float entries cannot enter the exact symbol ring; when any needed v_k
+    is not a Fraction this raises InexactDataError (evaluate through
+    reg_sum instead, which combines floats scalar-wise).
     """
     if degree_cap < 0:
         raise ValueError("degree_cap must be nonnegative")
-    c, _ = T.remainder()
-    derivs = reg_derivatives(f, c, method, degree_cap)
+    derivs = reg_derivatives(f, T.constant, method, degree_cap)
     if not derivs.is_exact:
         raise InexactDataError(
             "derivative data contains numeric entries; the exact operator form "
             "needs closed-form values"
         )
-    order = max(T.symbol.order, working_order(degree_cap))
-    base = T.symbol
-    if base.order < order:
-        base = PowerSeries(list(base.coeffs) + [Fraction(0)] * (order - base.order))
-    r_symbol = base - PowerSeries.constant(c, order)
-    acc = PowerSeries.constant(0, order)
-    power = PowerSeries.constant(1, order)
-    for k in range(degree_cap + 1):
+    acc = PowerSeries.constant(0, degree_cap)
+    for k, power in enumerate(_reduction_symbols(T, degree_cap)):
         v = derivs.values[k]
         if v != 0:
             acc = acc + power * (v / math.factorial(k))
-        power = power * r_symbol
     return OperatorSpec(acc, label=f"regularized[{f.label or f.kind}]")
 
 
@@ -222,10 +246,12 @@ def reg_sum(
 
     Collapses to sum_{k<=deg P} v_k/k! (R^k P)(x) with (c, R) = T split at
     its constant.  With fully exact derivative data the value is an exact
-    Fraction; otherwise a float combined from the numeric v_k.  The report
-    aggregates the numeric legs: order_used is the deepest summation order
-    (or the reduction degree on the all-exact route), terms_used the total
-    terms consumed, residual the worst gap.
+    Fraction (its report's float is infinite when the value is beyond the
+    float range); otherwise a float combined from the numeric v_k, and a
+    combination that is not finite is reported as not converged.  The
+    report aggregates the numeric legs: order_used is the deepest summation
+    order (or the reduction degree on the all-exact route), terms_used the
+    total terms consumed, residual the worst gap.
     """
     x = as_rational(x)
     if P.is_zero:
@@ -235,28 +261,24 @@ def reg_sum(
         )
         return Fraction(0), report
     cap = len(P.coeffs) - 1
-    c, R = T.remainder()
-    derivs = reg_derivatives(f, c, method, cap)
-
-    applied: list[Fraction] = []
-    current = P
-    for _ in range(cap + 1):
-        applied.append(current(x))
-        current = R.apply(current)
+    derivs = reg_derivatives(f, T.constant, method, cap)
+    applied = _reduced_values(T, P, x)
 
     if derivs.is_exact:
         total = Fraction(0)
         for k in range(cap + 1):
             total += derivs.values[k] * applied[k] / math.factorial(k)
         report = ConvergenceReport(
-            value=float(total), exact=total, method_used=method, order_used=cap,
-            terms_used=cap + 1, converged=True, residual=0.0, provenance=PROV_EXACT,
+            value=_ratio(*total.as_integer_ratio()), exact=total, method_used=method,
+            order_used=cap, terms_used=cap + 1, converged=True, residual=0.0,
+            provenance=PROV_EXACT,
         )
         return total, report
 
     total_f = 0.0
     for k in range(cap + 1):
-        total_f += float(derivs.values[k]) * float(applied[k]) / math.factorial(k)
+        a = _ratio(*applied[k].as_integer_ratio())
+        total_f += float(derivs.values[k]) * a / math.factorial(k)
     numeric = [r for r in derivs.reports if r is not None]
     provenance = "+".join(sorted(set(derivs.provenance)))
     report = ConvergenceReport(
@@ -265,7 +287,7 @@ def reg_sum(
         method_used=method,
         order_used=max((r.order_used for r in numeric), default=0),
         terms_used=sum(r.terms_used for r in numeric),
-        converged=all(r.converged for r in numeric),
+        converged=all(r.converged for r in numeric) and math.isfinite(total_f),
         residual=max((r.residual for r in numeric), default=0.0),
         provenance=provenance,
     )
@@ -325,20 +347,6 @@ def alt_binom_sum(m: int) -> Fraction:
     if m < 0:
         raise ValueError("m must be nonnegative")
     return Fraction((-1) ** m, 2 ** (m + 1))
-
-
-def alt_binom_sum_telescoped(m: int) -> Fraction:
-    """The same value through the intermediate collapsing sum
-    (1/2) sum_k (-1)^k/2^k binom(0,m-k); only the k = m term survives.
-    The k = 0 term is included so the empty case m = 0 yields 1/2."""
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    total = Fraction(0)
-    for k in range(m + 1):
-        b = math.comb(0, m - k) if m - k == 0 else 0
-        if b:
-            total += Fraction((-1) ** k, 2 ** k) * b
-    return total / 2
 
 
 def product_rule_check(

@@ -175,11 +175,19 @@ def series_alt_log() -> SeriesSpec:
 
 
 def series_geometric(ratio: RationalLike) -> SeriesSpec:
-    """a_n = r^n for a rational ratio r."""
+    """a_n = r^n for a rational ratio r.  Sequential access, as the
+    engines scan, steps from the previous power instead of recomputing it."""
     r = as_rational(ratio)
+    last = [0, Fraction(1)]  # the latest n and r^n
 
     def term(n: int) -> Fraction:
-        return r ** n
+        m, value = last
+        if n == m + 1:
+            value = value * r
+        elif n != m:
+            value = r ** n
+        last[:] = n, value
+        return value
 
     return SeriesSpec(term, kind="geometric", label=f"geom:{r}")
 

@@ -270,6 +270,43 @@ def test_sum_float_overflow_exits_2(capsys, argv, output):
     assert err.startswith("error:") and "did not converge" in err
 
 
+BIG_CONSTANT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_sum_exact_value_beyond_float_range(capsys, output):
+    code, out, err = run(capsys, "sum", "--series", "alt", "--poly", BIG_CONSTANT,
+                         "-o", output)
+    assert code == 0
+    assert err == ""
+    half = f"5{'0' * 399}/1"
+    if output == "json":
+        payload = strict_json(out)
+        assert payload["value_exact"] == half
+        assert payload["value_float"] is None
+    else:
+        fields = text_fields(out)
+        assert fields["value_exact"] == half
+        assert fields["value_float"] == "None"
+
+
+@pytest.mark.parametrize("series", ["altlog", "geom:1/2"])
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_sum_numeric_value_beyond_float_range_exits_2(capsys, series, output):
+    code, out, err = run(capsys, "sum", "--series", series, "--poly",
+                         f"{BIG_CONSTANT}*x + 1", "-o", output)
+    assert code == 2
+    assert err == ""
+    if output == "json":
+        payload = strict_json(out)
+        assert payload["value_exact"] is None
+        assert payload["value_float"] is None
+    else:
+        fields = text_fields(out)
+        assert fields["value_float"] == "None"
+        assert fields["converged"] == "false"
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
 def test_tol_must_be_positive_and_finite(capsys, tol):
     code, out, err = run(capsys, "cesaro", "--series", "alt", "--tol", tol, "-o", "json")
@@ -310,6 +347,18 @@ def test_symbol_json_respects_order(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["coefficients"] == ["0", "1", "0", "0", "0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("shift:1", "--order", "-1"),
+    ("symbol:[1,2]", "--order", "-2"),
+    ("diff", "--order", "0"),
+])
+def test_symbol_order_validation(capsys, argv):
+    code, out, err = run(capsys, "symbol", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: --order:")
 
 
 def test_symbol_bad_literal(capsys):
@@ -358,10 +407,9 @@ RATIOS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
 def _quick_power_boundary(r):
-    # Positive ratios in (1/2, 1] make the power-boundary scan run for
-    # seconds to minutes (Fraction powers r^n for tens of thousands of n),
-    # so the abel draws leave them out.
-    return not Fraction(1, 2) < r <= 1
+    # Positive ratios in (3/4, 1] make the power-boundary scan read 61,441
+    # terms or more, about 3 s each, so the abel draws leave them out.
+    return not Fraction(3, 4) < r <= 1
 
 
 @st.composite

@@ -5,16 +5,23 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regsum.algebra import Polynomial, binomial_poly, parse_polynomial
-from regsum.operators import op_delta, op_diff, op_scaled_sum, op_shift, parse_operator
-from regsum.power_series import PowerSeries, working_order
+from regsum.operators import (
+    OperatorSpec,
+    op_delta,
+    op_diff,
+    op_scaled_sum,
+    op_shift,
+    parse_operator,
+)
+from regsum.power_series import OrderExceededError, PowerSeries, working_order
 from regsum.regularize import (
     EulerTable,
     InexactDataError,
     NotRegularError,
     alt_binom_sum,
-    alt_binom_sum_telescoped,
     alt_power_sum,
     euler_alt_sum,
     euler_numbers,
@@ -24,6 +31,7 @@ from regsum.regularize import (
     reg_sum,
 )
 from regsum.summation import (
+    ConvergenceReport,
     SummationMethod,
     cesaro_auto,
     evaluate,
@@ -181,6 +189,61 @@ def test_reg_operator_validation():
         reg_operator(ALT, op_shift(1), EXACT, -1)
 
 
+def test_reg_operator_refuses_degrees_past_its_cap():
+    # The symbol is exact through t^cap only: a cap-2 symbol kept to a
+    # deeper order leaves the residue S + TS - P = 3/4 on x^3.
+    half = reg_operator(ALT, op_shift(1, order=44), EXACT, 2)
+    assert half.symbol.order == 2
+    with pytest.raises(OrderExceededError):
+        half.apply(Polynomial.monomial(3))
+
+
+def test_reg_operator_refuses_a_short_operator_symbol():
+    # A T symbol of order 4 cannot carry a cap-8 reduction (zero-padding
+    # it gives S(x^6)(0) = -5/4 instead of 0); reg_sum refuses it too.
+    T = op_shift(1, order=4)
+    with pytest.raises(OrderExceededError):
+        reg_operator(ALT, T, EXACT, 8)
+    with pytest.raises(OrderExceededError):
+        reg_sum(ALT, T, Polynomial.monomial(6), 0, EXACT)
+
+
+def test_reg_operator_checks_exactness_before_the_symbol_order():
+    with pytest.raises(InexactDataError):
+        reg_operator(ALTLOG, op_shift(1, order=2), CESARO, 6)
+
+
+small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@st.composite
+def exact_reductions(draw):
+    """(T, d, P): an operator whose derivative table under ALT is exact
+    (constant term 0 or 1), a cap d <= 12, and a polynomial of degree <= d."""
+    d = draw(st.integers(0, 12))
+    order = d + draw(st.integers(0, 4))
+    kind = draw(st.sampled_from(["shift", "delta", "diff", "symbol"]))
+    if kind == "shift":
+        T = op_shift(draw(small_rationals), order)
+    elif kind == "delta":
+        T = op_delta(draw(small_rationals), order)
+    elif kind == "diff":
+        T = op_diff(max(order, 1))
+    else:
+        rest = draw(st.lists(small_rationals, min_size=order, max_size=order))
+        T = OperatorSpec(PowerSeries([draw(st.sampled_from([0, 1])), *rest]))
+    P = Polynomial(draw(st.lists(small_rationals, max_size=d + 1)))
+    return T, d, P
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_reductions(), small_rationals)
+def test_operator_form_agrees_with_the_pointwise_sum(case, x):
+    T, d, P = case
+    value, _ = reg_sum(ALT, T, P, x, EXACT)
+    assert reg_operator(ALT, T, EXACT, d).apply(P)(x) == value
+
+
 def test_log_series_derivative_in_difference_identity():
     # The closed-form derivative values of the log coefficients, arranged as
     # a series in the difference operator and differentiated formally, agree
@@ -281,6 +344,102 @@ def test_reg_sum_propagates_not_regular():
         reg_sum(ones, op_shift(1), Polynomial.x(), 0, method)
 
 
+def reference_reg_sum(f, T, P, x, method):
+    """Reference reduction: (R^k P)(x) by applying R to P over and over,
+    then the same two combination loops as reg_sum."""
+    x = Fraction(x)
+    cap = len(P.coeffs) - 1
+    c, R = T.remainder()
+    derivs = reg_derivatives(f, c, method, cap)
+    applied = []
+    current = P
+    for _ in range(cap + 1):
+        applied.append(current(x))
+        current = R.apply(current)
+    if derivs.is_exact:
+        total = Fraction(0)
+        for k in range(cap + 1):
+            total += derivs.values[k] * applied[k] / math.factorial(k)
+        return total, ConvergenceReport(
+            value=float(total), exact=total, method_used=method, order_used=cap,
+            terms_used=cap + 1, converged=True, residual=0.0,
+            provenance="exact-closed-form",
+        )
+    total_f = 0.0
+    for k in range(cap + 1):
+        total_f += float(derivs.values[k]) * float(applied[k]) / math.factorial(k)
+    numeric = [r for r in derivs.reports if r is not None]
+    return total_f, ConvergenceReport(
+        value=total_f, exact=None, method_used=method,
+        order_used=max((r.order_used for r in numeric), default=0),
+        terms_used=sum(r.terms_used for r in numeric),
+        converged=all(r.converged for r in numeric),
+        residual=max((r.residual for r in numeric), default=0.0),
+        provenance="+".join(sorted(set(derivs.provenance))),
+    )
+
+
+def assert_same_sum(got, expected):
+    (value, report), (ref_value, ref_report) = got, expected
+    assert type(value) is type(ref_value)
+    if isinstance(value, float):
+        assert value.hex() == ref_value.hex()
+    else:
+        assert value == ref_value
+    assert report == ref_report
+    assert report.value.hex() == ref_report.value.hex()
+
+
+@pytest.mark.parametrize("operator", [
+    "shift:1", "shift:-3/2", "delta:1/2", "diff", "symbol:[1,-2/3,1/5,4,-1/6,0,3/2]",
+])
+def test_reg_sum_matches_the_reference_reduction_exactly(operator):
+    rng = random.Random(operator)
+    T = parse_operator(operator, order=20)
+    for deg in range(0, 17):
+        p = Polynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                        for _ in range(deg)] + [Fraction(rng.randint(1, 9), rng.randint(1, 5))])
+        x = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        assert_same_sum(reg_sum(ALT, T, p, x, EXACT), reference_reg_sum(ALT, T, p, x, EXACT))
+
+
+@pytest.mark.parametrize("series, operator", [
+    ("altlog", "shift:1"),
+    ("altlog", "shift:-3/2"),
+    ("geom:1/2", "symbol:[1/3,1]"),
+])
+def test_reg_sum_matches_the_reference_reduction_on_numeric_legs(series, operator):
+    f = parse_series(series)
+    T = parse_operator(operator)
+    for text, x in (("1", 0), ("x^2 - 1/2*x", Fraction(1, 3)),
+                     ("-2/3*x^4 + 5*x + 1", Fraction(-3, 2))):
+        p = parse_polynomial(text)
+        assert_same_sum(reg_sum(f, T, p, x, CESARO), reference_reg_sum(f, T, p, x, CESARO))
+
+
+def test_reg_sum_exact_value_beyond_float_range():
+    big = Polynomial.constant(10 ** 400)
+    value, report = reg_sum(ALT, op_shift(1), big, 0, EXACT)
+    assert value == Fraction(10 ** 400, 2)
+    assert report.exact == value
+    assert report.converged
+    assert report.value == math.inf
+    assert report.to_json_dict()["value"] is None
+
+
+@pytest.mark.parametrize("series, operator", [
+    ("altlog", "shift:1"),
+    ("geom:1/2", "shift:1"),
+])
+def test_reg_sum_numeric_value_beyond_float_range_is_not_converged(series, operator):
+    p = parse_polynomial(f"{10 ** 400}*x + 1")
+    value, report = reg_sum(parse_series(series), parse_operator(operator), p, 0, CESARO)
+    assert not math.isfinite(value)
+    assert report.exact is None
+    assert not report.converged
+    assert report.to_json_dict()["value"] is None
+
+
 def test_functional_equation_on_random_instances():
     rng = random.Random(7)
     for _ in range(40):
@@ -373,13 +532,6 @@ def test_alt_binom_sum_golden():
     assert alt_binom_sum(5) == Fraction(-1, 64)
     with pytest.raises(ValueError):
         alt_binom_sum(-1)
-
-
-def test_alt_binom_sum_telescoped_agrees():
-    for m in range(13):
-        assert alt_binom_sum_telescoped(m) == alt_binom_sum(m)
-    with pytest.raises(ValueError):
-        alt_binom_sum_telescoped(-1)
 
 
 def test_alt_binom_sum_matches_reduction():

@@ -66,6 +66,17 @@ def test_builtin_terms():
     assert table.terms(4) == [1, Fraction(-1, 2), 0, 0]
 
 
+def test_geometric_terms_in_any_access_order():
+    # The engines read terms in order, which steps from the previous power;
+    # any other access recomputes r^n.
+    for r in (Fraction(3, 4), Fraction(-5, 3), Fraction(0), Fraction(1)):
+        sequential = series_geometric(r)
+        assert [sequential.term(n) for n in range(40)] == [r ** n for n in range(40)]
+        scattered = series_geometric(r)
+        for n in (7, 7, 8, 3, 0, 1, 25, 26, 27, 2):
+            assert scattered.term(n) == r ** n
+
+
 def test_alt_closed_form_gate():
     method = SummationMethod("cesaro")
     assert ALT.exact_reg_deriv(0, Fraction(1), method) == Fraction(1, 2)
