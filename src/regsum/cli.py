@@ -15,14 +15,14 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence
 
 from .algebra import ParseError, Polynomial, format_polynomial, parse_polynomial
 from .operators import OperatorSpec, op_shift, parse_operator
 from .summation import (
-    ConvergenceReport,
+    DEFAULT_TERMS,
     NotConvergedError,
     SummationMethod,
     _sig12,
@@ -51,6 +51,15 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NOT_REGULAR = 2
 
+# --method literal -> (engine, order); "cesaro:k" also takes any k >= 0.
+_METHODS = {
+    "exact": ("exact", 0),
+    "classical": ("classical", 0),
+    "abel": ("abel", 2),
+    "cesaro": ("cesaro", "auto"),
+    "cesaro:auto": ("cesaro", "auto"),
+}
+
 
 class CliError(Exception):
     """Bad arguments or literals; maps to exit code 1."""
@@ -61,34 +70,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-@dataclass
-class CliRequest:
-    subcommand: str
-    polynomial: Optional[str] = None
-    operator: Optional[str] = None
-    series: Optional[str] = None
-    method: Optional[str] = None
-    x: str = "0"
-    h: Optional[str] = None
-    output: str = "text"
-    n_max: int = 4000
-    tol: float = 1e-3
-    order: Optional[str] = None
-    n_arg: Optional[int] = None
-    suite: Optional[str] = None
-
-    def echo(self) -> dict:
-        out = {"subcommand": self.subcommand}
-        for key in ("polynomial", "operator", "series", "method", "x", "h",
-                    "order", "suite"):
-            value = getattr(self, key)
-            if value is not None:
-                out[key] = value
-        out["n_max"] = self.n_max
-        out["tol"] = self.tol
-        return out
-
-
 def _rat(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
@@ -97,53 +78,62 @@ def _flt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _parse_fraction(text: str, flag: str) -> Fraction:
+def _literal(parse, text, flag: str):
+    """parse(text), with a malformed literal reported as a CliError naming flag."""
     try:
-        return Fraction(text.strip())
+        return parse(text)
+    except ParseError as exc:
+        raise CliError(f"{flag}: {exc}") from None
     except (ValueError, ZeroDivisionError) as exc:
-        raise CliError(f"{flag}: not a rational number: {text!r} ({exc})") from None
+        raise CliError(f"{flag}: bad value {text!r} ({exc})") from None
 
 
-def _parse_method(text: str, req: CliRequest) -> SummationMethod:
+def _parse_method(text: str, args: argparse.Namespace) -> SummationMethod:
     text = text.strip()
-    if text == "exact":
-        return SummationMethod("exact", order=0, n_max=req.n_max, tol=req.tol)
-    if text == "classical":
-        return SummationMethod("classical", order=0, n_max=req.n_max, tol=req.tol)
-    if text == "abel":
-        return SummationMethod("abel", order=2, n_max=req.n_max, tol=req.tol)
-    if text == "cesaro":
-        return SummationMethod("cesaro", order="auto", n_max=req.n_max, tol=req.tol)
-    if text.startswith("cesaro:"):
-        tail = text[7:]
-        if tail == "auto":
-            return SummationMethod("cesaro", order="auto", n_max=req.n_max, tol=req.tol)
-        try:
-            k = int(tail)
-        except ValueError:
-            raise CliError(f"--method: bad order {tail!r} in {text!r}") from None
-        if k < 0:
-            raise CliError(f"--method: order must be nonnegative, got {k}")
-        return SummationMethod("cesaro", order=k, n_max=req.n_max, tol=req.tol)
-    raise CliError(
-        f"--method: unknown method {text!r} "
-        "(expected cesaro[:k|:auto], abel, classical, or exact)"
-    )
-
-
-def _print_json(payload: dict) -> None:
-    """Print one strict JSON object: NaN and infinities are refused."""
-    print(json.dumps(payload, allow_nan=False))
-
-
-def _emit(req: CliRequest, lines: list[tuple[str, object]], json_extra: dict) -> None:
-    if req.output == "json":
-        payload = {"request": req.echo()}
-        payload.update(json_extra)
-        _print_json(payload)
+    if text in _METHODS:
+        name, order = _METHODS[text]
+    elif text.startswith("cesaro:"):
+        name, order = "cesaro", _literal(int, text[7:], "--method")
+        if order < 0:
+            raise CliError(f"--method: order must be nonnegative, got {order}")
     else:
-        for key, value in lines:
-            print(f"{key}: {value}")
+        raise CliError(
+            f"--method: unknown method {text!r} "
+            "(expected cesaro[:k|:auto], abel, classical, or exact)"
+        )
+    return SummationMethod(name, order=order, n_max=args.n_max, tol=args.tol)
+
+
+def _check_budget(args: argparse.Namespace) -> None:
+    """Resolve the term budget (--terms, else $REGSUM_TERMS, else the
+    default) into args.n_max, so the request echo shows the budget used,
+    and check it and --tol."""
+    if args.n_max is None:
+        env = os.environ.get(ENV_TERMS)
+        args.n_max = _literal(int, env, ENV_TERMS) if env else DEFAULT_TERMS
+    if args.n_max < 16:
+        raise CliError("--terms: need at least 16")
+    if not 0 < args.tol < math.inf:
+        raise CliError("--tol: must be positive and finite")
+
+
+def _field_lines(fields: dict) -> list[str]:
+    return [f"{key}: {value}" for key, value in fields.items()]
+
+
+def _emit(args: argparse.Namespace, lines: Sequence[str], payload: dict,
+          ok: bool = True) -> int:
+    """Print a result, as text lines or as one strict JSON object (NaN and
+    the infinities refused) led by the echo of the subcommand's arguments;
+    return the exit code for ok."""
+    if args.output == "json":
+        request = {key: value for key, value in vars(args).items()
+                   if key not in ("output", "run") and value is not None}
+        print(json.dumps({"request": request, **payload}, allow_nan=False))
+    else:
+        for line in lines:
+            print(line)
+    return EXIT_OK if ok else EXIT_NOT_REGULAR
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -152,8 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, series=False, method=False):
         p.add_argument("--output", "-o", choices=("text", "json"), default="text")
-        p.add_argument("--terms", "-N", type=int, default=None,
-                       help=f"term budget (default 4000; env {ENV_TERMS} overrides)")
+        p.add_argument("--terms", "-N", dest="n_max", metavar="TERMS", type=int, default=None,
+                       help=f"term budget (default {DEFAULT_TERMS}; env {ENV_TERMS} overrides)")
         p.add_argument("--tol", type=float, default=1e-3)
         if series:
             p.add_argument("--series", required=True,
@@ -164,211 +154,132 @@ def build_parser() -> argparse.ArgumentParser:
                                 "(default: exact when available, else cesaro:auto)")
 
     p = sub.add_parser("sum", help="regularized sum of a_n (T^n P)(x)")
+    p.set_defaults(run=cmd_sum)
     common(p, series=True, method=True)
-    p.add_argument("--poly", required=True, help="polynomial in x, e.g. '3*x^2 - 1/2*x + 4'")
-    p.add_argument("--op", default=None,
+    p.add_argument("--poly", dest="polynomial", metavar="POLY", required=True,
+                   help="polynomial in x, e.g. '3*x^2 - 1/2*x + 4'")
+    p.add_argument("--op", dest="operator", metavar="OP", default=None,
                    help="identity | diff | shift:h | delta:h | symbol:[c0,c1,...] "
                         "(default shift:h with h from --h, else shift:1)")
     p.add_argument("--x", default="0", help="evaluation point (rational)")
     p.add_argument("--h", default=None, help="shift step when --op is omitted")
 
     p = sub.add_parser("euler", help="print the zigzag integer table E_0..E_n")
+    p.set_defaults(run=cmd_euler)
     p.add_argument("n_max", type=int)
     p.add_argument("--output", "-o", choices=("text", "json"), default="text")
 
     p = sub.add_parser("cesaro", help="iterated-mean summation of a series literal")
+    p.set_defaults(run=cmd_cesaro)
     common(p, series=True)
-    p.add_argument("--k", default="auto", help="mean order (nonnegative int) or 'auto'")
+    p.add_argument("--k", dest="order", metavar="K", default="auto",
+                   help="mean order (nonnegative int) or 'auto'")
 
     p = sub.add_parser("abel", help="power-boundary summation of a series literal")
+    p.set_defaults(run=cmd_abel)
     common(p, series=True)
 
     p = sub.add_parser("symbol", help="print an operator's symbol series")
+    p.set_defaults(run=cmd_symbol)
     p.add_argument("operator", help="identity | diff | shift:h | delta:h | symbol:[...]")
     p.add_argument("--output", "-o", choices=("text", "json"), default="text")
-    p.add_argument("--order", type=int, default=12)
+    p.add_argument("--order", default="12")
 
     p = sub.add_parser("check", help="run a named invariant suite")
-    p.add_argument("suite", choices=("functional-equation", "product-rule",
-                                     "shift-invariance", "operator-ring", "three-way"))
+    p.set_defaults(run=cmd_check)
+    p.add_argument("suite", choices=_SUITES)
     p.add_argument("--output", "-o", choices=("text", "json"), default="text")
     p.add_argument("--seed", type=int, default=2024)
     return parser
-
-
-def _default_terms(cli_value: Optional[int]) -> int:
-    if cli_value is not None:
-        return cli_value
-    env = os.environ.get(ENV_TERMS)
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise CliError(f"{ENV_TERMS}: not an integer: {env!r}") from None
-    return 4000
-
-
-def _request_from_args(args: argparse.Namespace) -> CliRequest:
-    req = CliRequest(subcommand=args.subcommand)
-    req.output = getattr(args, "output", "text")
-    if hasattr(args, "terms"):
-        req.n_max = _default_terms(args.terms)
-        if req.n_max < 16:
-            raise CliError("--terms: need at least 16")
-    if hasattr(args, "tol"):
-        req.tol = args.tol
-        if not (0 < req.tol < math.inf):
-            raise CliError("--tol: must be positive and finite")
-    req.polynomial = getattr(args, "poly", None)
-    req.operator = getattr(args, "op", None) or getattr(args, "operator", None)
-    req.series = getattr(args, "series", None)
-    req.method = getattr(args, "method", None)
-    req.x = getattr(args, "x", "0")
-    req.h = getattr(args, "h", None)
-    order = getattr(args, "k", None)
-    if order is None:
-        order = getattr(args, "order", None)
-    req.order = str(order) if order is not None else None
-    if hasattr(args, "n_max"):
-        req.n_arg = args.n_max
-    req.suite = getattr(args, "suite", None)
-    return req
 
 
 # ---------------------------------------------------------------------------
 # Subcommand bodies
 
 
-def cmd_sum(req: CliRequest) -> int:
-    try:
-        poly = parse_polynomial(req.polynomial)
-    except ParseError as exc:
-        raise CliError(f"--poly: {exc}") from None
-    x = _parse_fraction(req.x, "--x")
-    deg = len(poly.coeffs) - 1 if poly.coeffs else 0
-    order = max(16, deg + 4)
-    if req.operator is not None:
-        try:
-            op = parse_operator(req.operator, order=order)
-        except ParseError as exc:
-            raise CliError(f"--op: {exc}") from None
+def cmd_sum(args: argparse.Namespace) -> int:
+    _check_budget(args)
+    poly = _literal(parse_polynomial, args.polynomial, "--poly")
+    x = _literal(Fraction, args.x, "--x")
+    order = max(16, len(poly.coeffs) + 3)
+    if args.operator is not None:
+        op = _literal(partial(parse_operator, order=order), args.operator, "--op")
     else:
-        h = _parse_fraction(req.h, "--h") if req.h is not None else Fraction(1)
+        h = _literal(Fraction, args.h, "--h") if args.h is not None else Fraction(1)
         op = op_shift(h, order=order)
-    try:
-        series = parse_series(req.series)
-    except ParseError as exc:
-        raise CliError(f"--series: {exc}") from None
+    series = _literal(parse_series, args.series, "--series")
 
-    if req.method is not None:
-        methods = [_parse_method(req.method, req)]
-    else:
-        methods = [
-            SummationMethod("exact", order=0, n_max=req.n_max, tol=req.tol),
-            SummationMethod("cesaro", order="auto", n_max=req.n_max, tol=req.tol),
-        ]
-
-    value = report = None
-    failure: Optional[NotRegularError] = None
+    # Without --method: the exact route, else the iterated means.  The
+    # last method's NotRegularError reaches main, which exits 2.
+    methods = [_parse_method(m, args)
+               for m in ([args.method] if args.method is not None else ["exact", "cesaro"])]
     for method in methods:
         try:
             value, report = reg_sum(series, op, poly, x, method)
-            failure = None
             break
-        except NotRegularError as exc:
-            failure = exc
-    if failure is not None:
-        print(f"error: {failure}", file=sys.stderr)
-        return EXIT_NOT_REGULAR
+        except NotRegularError:
+            if method is methods[-1]:
+                raise
 
-    exact = value if isinstance(value, Fraction) else None
-    value_float = _flt(report.value) if math.isfinite(report.value) else None
-    lines: list[tuple[str, object]] = [("value_float", value_float)]
-    if exact is not None:
-        lines.append(("value_exact", _rat(exact)))
-    lines += [
-        ("method", report.method_used.describe()),
-        ("order_used", report.order_used),
-        ("terms_used", report.terms_used),
-        ("provenance", report.provenance),
-        ("converged", str(report.converged).lower()),
-    ]
-    _emit(req, lines, {
-        "value_exact": _rat(exact) if exact is not None else None,
-        "value_float": _sig12(report.value),
+    exact = _rat(value) if isinstance(value, Fraction) else None
+    shared = {
         "method": report.method_used.describe(),
         "order_used": report.order_used,
         "terms_used": report.terms_used,
         "provenance": report.provenance,
-    })
-    return EXIT_OK if report.converged else EXIT_NOT_REGULAR
+    }
+    text = {"value_float": _flt(report.value) if math.isfinite(report.value) else None}
+    if exact is not None:
+        text["value_exact"] = exact
+    text.update(shared, converged=str(report.converged).lower())
+    return _emit(args, _field_lines(text), {
+        "value_exact": exact,
+        "value_float": _sig12(report.value),
+        **shared,
+        "converged": report.converged,
+        "residual": _sig12(report.residual),
+    }, report.converged)
 
 
-def cmd_euler(req: CliRequest) -> int:
-    if req.n_arg is None or req.n_arg < 0:
+def cmd_euler(args: argparse.Namespace) -> int:
+    if args.n_max < 0:
         raise CliError("n_max: must be a nonnegative integer")
-    table = euler_numbers(req.n_arg)
-    if req.output == "json":
-        _print_json({"request": req.echo(), "values": table.to_json_list()})
+    table = euler_numbers(args.n_max)
+    return _emit(args, [f"E_{k}: {v}" for k, v in enumerate(table.values)],
+                 {"values": table.to_json_list()})
+
+
+def cmd_cesaro(args: argparse.Namespace) -> int:
+    _check_budget(args)
+    series = _literal(parse_series, args.series, "--series")
+    if args.order == "auto":
+        report = cesaro_auto(series, N=args.n_max, tol=args.tol)
     else:
-        for k, v in enumerate(table.values):
-            print(f"E_{k}: {v}")
-    return EXIT_OK
-
-
-def _report_out(req: CliRequest, report: ConvergenceReport) -> int:
-    if req.output == "json":
-        payload = {"request": req.echo()}
-        payload.update(report.to_json_dict())
-        _print_json(payload)
-    else:
-        for key, value in report.to_json_dict().items():
-            print(f"{key}: {value}")
-    return EXIT_OK if report.converged else EXIT_NOT_REGULAR
-
-
-def cmd_cesaro(req: CliRequest) -> int:
-    try:
-        series = parse_series(req.series)
-    except ParseError as exc:
-        raise CliError(f"--series: {exc}") from None
-    if req.order == "auto":
-        report = cesaro_auto(series, N=req.n_max, tol=req.tol)
-    else:
-        try:
-            k = int(req.order)
-        except ValueError:
-            raise CliError(f"--k: expected a nonnegative integer or 'auto', got {req.order!r}") from None
+        k = _literal(int, args.order, "--k")
         if k < 0:
             raise CliError("--k: must be nonnegative")
-        report = cesaro_limit(series, k, N=req.n_max, tol=req.tol)
-    return _report_out(req, report)
+        report = cesaro_limit(series, k, N=args.n_max, tol=args.tol)
+    fields = report.to_json_dict()
+    return _emit(args, _field_lines(fields), fields, report.converged)
 
 
-def cmd_abel(req: CliRequest) -> int:
-    try:
-        series = parse_series(req.series)
-    except ParseError as exc:
-        raise CliError(f"--series: {exc}") from None
-    report = abel_limit(series, tol=req.tol)
-    return _report_out(req, report)
+def cmd_abel(args: argparse.Namespace) -> int:
+    _check_budget(args)
+    series = _literal(parse_series, args.series, "--series")
+    report = abel_limit(series, tol=args.tol)
+    fields = report.to_json_dict()
+    return _emit(args, _field_lines(fields), fields, report.converged)
 
 
-def cmd_symbol(req: CliRequest) -> int:
-    order = int(req.order) if req.order is not None else 12
+def cmd_symbol(args: argparse.Namespace) -> int:
+    order = _literal(int, args.order, "--order")
     if order < 0:
         raise CliError(f"--order: must be nonnegative, got {order}")
-    try:
-        op = parse_operator(req.operator, order=order)
-    except ParseError as exc:
-        raise CliError(f"operator: {exc}") from None
-    except ValueError as exc:  # an order too short for the operator, e.g. diff
-        raise CliError(f"--order: {exc}") from None
-    if req.output == "json":
-        _print_json({"request": req.echo(), "coefficients": op.symbol.to_strings()})
-    else:
-        print(op.symbol)
-    return EXIT_OK
+    # The literal is read first, so what fails after it is the order's
+    # (diff needs t^1).
+    _literal(parse_operator, args.operator, "operator")
+    op = _literal(partial(parse_operator, args.operator), order, "--order")
+    return _emit(args, [str(op.symbol)], {"coefficients": op.symbol.to_strings()})
 
 
 # ---------------------------------------------------------------------------
@@ -521,45 +432,21 @@ _SUITES = {
 }
 
 
-def cmd_check(req: CliRequest, seed: int) -> int:
-    rng = random.Random(seed)
+def cmd_check(args: argparse.Namespace) -> int:
     messages: list[str] = []
-    say = messages.append
-    ok = _SUITES[req.suite](rng, say)
-    if req.output == "json":
-        _print_json({"request": req.echo(), "passed": ok, "log": messages})
-    else:
-        for line in messages:
-            print(line)
-        print(f"suite {req.suite}: {'PASS' if ok else 'FAIL'}")
-    return EXIT_OK if ok else EXIT_NOT_REGULAR
+    ok = _SUITES[args.suite](random.Random(args.seed), messages.append)
+    return _emit(args, [*messages, f"suite {args.suite}: {'PASS' if ok else 'FAIL'}"],
+                 {"passed": ok, "log": messages}, ok)
 
 
 # ---------------------------------------------------------------------------
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        req = _request_from_args(args)
-        if req.subcommand == "sum":
-            return cmd_sum(req)
-        if req.subcommand == "euler":
-            return cmd_euler(req)
-        if req.subcommand == "cesaro":
-            return cmd_cesaro(req)
-        if req.subcommand == "abel":
-            return cmd_abel(req)
-        if req.subcommand == "symbol":
-            return cmd_symbol(req)
-        if req.subcommand == "check":
-            return cmd_check(req, getattr(args, "seed", 2024))
-        raise CliError(f"unknown subcommand {req.subcommand!r}")
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ParseError as exc:
+        args = build_parser().parse_args(argv)
+        return args.run(args)
+    except (CliError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (NotRegularError, InexactDataError, NotConvergedError) as exc:

@@ -277,8 +277,16 @@ def reg_sum(
 
     total_f = 0.0
     for k in range(cap + 1):
-        a = _ratio(*applied[k].as_integer_ratio())
-        total_f += float(derivs.values[k]) * a / math.factorial(k)
+        v = float(derivs.values[k])
+        try:
+            term = v * _ratio(*applied[k].as_integer_ratio()) / math.factorial(k)
+        except OverflowError:  # k! is beyond the float range from k = 171 on
+            term = math.inf
+        if not math.isfinite(term):
+            # (R^k P)(x) and k! can each overflow while their ratio fits.
+            num, den = applied[k].as_integer_ratio()
+            term = v * _ratio(num, den * math.factorial(k))
+        total_f += term
     numeric = [r for r in derivs.reports if r is not None]
     provenance = "+".join(sorted(set(derivs.provenance)))
     report = ConvergenceReport(

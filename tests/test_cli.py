@@ -2,8 +2,12 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -90,7 +94,8 @@ def test_sum_json_schema(capsys):
     assert payload["method"] == "exact"
     assert payload["provenance"] == "exact-closed-form"
     assert set(payload) == {"request", "value_exact", "value_float", "method",
-                            "order_used", "terms_used", "provenance"}
+                            "order_used", "terms_used", "provenance", "converged",
+                            "residual"}
     assert payload["request"]["polynomial"] == "x^2 - 1"
     assert payload["request"]["x"] == "1/2"
 
@@ -307,6 +312,26 @@ def test_sum_numeric_value_beyond_float_range_exits_2(capsys, series, output):
         assert fields["converged"] == "false"
 
 
+def test_sum_numeric_leg_past_the_float_factorials(capsys):
+    # 171! overflows a float; the value 170!/2^171 does not
+    code, out, err = run(capsys, "sum", "--series", "altlog", "--op", "symbol:[1,1]",
+                         "--poly", "x^171", "--x", "0")
+    assert code == 0
+    assert err == ""
+    fields = text_fields(out)
+    assert fields["value_float"] == "2.42467054288e+255"
+    assert fields["converged"] == "true"
+
+
+def test_sum_degree_171_on_the_default_shift(capsys):
+    code, out, err = run(capsys, "sum", "--series", "altlog", "--poly", "x^171",
+                         "-o", "json")
+    assert code in (0, 2)
+    assert "Traceback" not in err
+    payload = strict_json(out)
+    assert payload["converged"] is (code == 0)
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
 def test_tol_must_be_positive_and_finite(capsys, tol):
     code, out, err = run(capsys, "cesaro", "--series", "alt", "--tol", tol, "-o", "json")
@@ -396,6 +421,56 @@ def test_missing_subcommand(capsys):
     code, _, err = run(capsys)
     assert code == 1
     assert err.startswith("error:")
+
+
+# ---------------------------------------------------------------------------
+# request echo and the real entry point
+
+
+@pytest.mark.parametrize("argv, echo", [
+    (("sum", "--series", "alt", "--poly", "x^2 - 1", "--x", "1/2", "--h", "2",
+      "--method", "exact", "-N", "600", "--tol", "0.01"),
+     {"subcommand": "sum", "series": "alt", "polynomial": "x^2 - 1", "x": "1/2",
+      "h": "2", "method": "exact", "n_max": 600, "tol": 0.01}),
+    (("sum", "--series", "alt", "--op", "diff", "--poly", "x"),
+     {"subcommand": "sum", "series": "alt", "operator": "diff", "polynomial": "x",
+      "x": "0", "n_max": 4000, "tol": 0.001}),
+    (("cesaro", "--series", "alt", "--k", "1", "-N", "2000"),
+     {"subcommand": "cesaro", "series": "alt", "order": "1", "n_max": 2000, "tol": 0.001}),
+    (("abel", "--series", "alt", "--tol", "0.01"),
+     {"subcommand": "abel", "series": "alt", "n_max": 4000, "tol": 0.01}),
+    (("euler", "5"), {"subcommand": "euler", "n_max": 5}),
+    (("symbol", "diff", "--order", "4"),
+     {"subcommand": "symbol", "operator": "diff", "order": "4"}),
+    (("check", "operator-ring", "--seed", "7"),
+     {"subcommand": "check", "suite": "operator-ring", "seed": 7}),
+])
+def test_request_echoes_exactly_the_arguments_taken(capsys, monkeypatch, argv, echo):
+    monkeypatch.delenv("REGSUM_TERMS", raising=False)
+    code, out, _ = run(capsys, *argv, "-o", "json")
+    assert code == 0
+    assert strict_json(out)["request"] == echo
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("sum", "--series", "alt", "--poly", "1", "-o", "json"), 0),
+    (("sum", "--series", "alt", "--poly", "x^^2", "-o", "json"), 1),
+    (("cesaro", "--series", "geom:1", "-N", "400", "-o", "json"), 2),
+])
+def test_python_m_regsum_exit_codes(argv, expected):
+    env = {k: v for k, v in os.environ.items() if k != "REGSUM_TERMS"}
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.run([sys.executable, "-m", "regsum", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == expected
+    if expected == 1:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: --poly:")
+    else:
+        assert strict_json(proc.stdout)["request"]["subcommand"] == argv[0]
 
 
 # ---------------------------------------------------------------------------

@@ -427,6 +427,16 @@ def test_reg_sum_exact_value_beyond_float_range():
     assert report.to_json_dict()["value"] is None
 
 
+def test_reg_sum_numeric_leg_past_the_float_factorials():
+    # T = 1 + D, so the value is v_171 (D^171 x^171)(0) / 171! = f^(171)(1)
+    # for f(z) = log(1+z): 170!/2^171, a float although 171! is not.
+    p = parse_polynomial("x^171")
+    value, report = reg_sum(ALTLOG, parse_operator("symbol:[1,1]", order=171), p, 0, CESARO)
+    assert report.exact is None
+    assert report.converged
+    assert value == pytest.approx(math.factorial(170) / 2 ** 171, rel=1e-12)
+
+
 @pytest.mark.parametrize("series, operator", [
     ("altlog", "shift:1"),
     ("geom:1/2", "shift:1"),
