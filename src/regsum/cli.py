@@ -125,14 +125,19 @@ def _emit(args: argparse.Namespace, lines: Sequence[str], payload: dict,
           ok: bool = True) -> int:
     """Print a result, as text lines or as one strict JSON object (NaN and
     the infinities refused) led by the echo of the subcommand's arguments;
-    return the exit code for ok."""
+    return the exit code for ok, also when the reader closed stdout early."""
     if args.output == "json":
         request = {key: value for key, value in vars(args).items()
                    if key not in ("output", "run") and value is not None}
-        print(json.dumps({"request": request, **payload}, allow_nan=False))
-    else:
+        lines = [json.dumps({"request": request, **payload}, allow_nan=False)]
+    try:
         for line in lines:
             print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone (as in `regsum euler 400 | head -1`).  Point
+        # stdout at devnull so the flush at interpreter exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_OK if ok else EXIT_NOT_REGULAR
 
 

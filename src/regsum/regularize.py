@@ -107,9 +107,6 @@ def reg_derivatives(
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     c = as_rational(c)
-    values: list[Union[Fraction, float]] = []
-    provenance: list[str] = []
-    reports: list[Optional[ConvergenceReport]] = []
     # a_n, shared by every k of this call.  Only the iterated-mean budget
     # is kept: a power-boundary scan can run to ~10^6 terms, which are
     # computed afresh rather than held.
@@ -118,26 +115,20 @@ def reg_derivatives(
     def base(n: int) -> Fraction:
         return memo(n) if n <= method.n_max else f.term(n)
 
-    for k in range(k_max + 1):
+    def leg(k: int) -> tuple[Union[Fraction, float], Optional[ConvergenceReport]]:
+        """v_k and, for a numeric entry, its report (None when exact)."""
         if f.exact_reg_deriv is not None:
             closed = f.exact_reg_deriv(k, c, method)
             if closed is not None:
-                values.append(closed)
-                provenance.append(PROV_EXACT)
-                reports.append(None)
-                continue
+                return closed, None
         if c == 0:
-            values.append(Fraction(math.factorial(k)) * base(k))
-            provenance.append(PROV_EXACT)
-            reports.append(None)
-            continue
+            return Fraction(math.factorial(k)) * base(k), None
         if method.tag == "exact":
             raise NotRegularError(
                 f"no closed form for derivative order {k} of {f.label or f.kind} "
                 f"at c={c}; use a numeric method"
             )
-        derived = _derivative_series(f, base, c, k)
-        report = evaluate(derived, method)
+        report = evaluate(_derivative_series(f, base, c, k), method)
         if not report.converged:
             raise NotRegularError(
                 f"derivative order {k} of {f.label or f.kind} at c={c} did not "
@@ -145,9 +136,11 @@ def reg_derivatives(
                 f"(residual {report.residual:.3g}, tol {method.tol:g})",
                 report,
             )
-        values.append(report.value)
-        provenance.append(PROV_ABEL if method.tag == "abel" else PROV_CESARO)
-        reports.append(report)
+        return report.value, report
+
+    values, reports = map(list, zip(*map(leg, range(k_max + 1))))
+    numeric = PROV_ABEL if method.tag == "abel" else PROV_CESARO
+    provenance = [PROV_EXACT if r is None else numeric for r in reports]
     return RegularizedDerivatives(c, values, provenance, method, reports)
 
 
@@ -245,13 +238,15 @@ def reg_sum(
     """Value of the regularized series sum a_n (T^n P)(x).
 
     Collapses to sum_{k<=deg P} v_k/k! (R^k P)(x) with (c, R) = T split at
-    its constant.  With fully exact derivative data the value is an exact
-    Fraction (its report's float is infinite when the value is beyond the
-    float range); otherwise a float combined from the numeric v_k, and a
-    combination that is not finite is reported as not converged.  The
-    report aggregates the numeric legs: order_used is the deepest summation
-    order (or the reduction degree on the all-exact route), terms_used the
-    total terms consumed, residual the worst gap.
+    its constant.  Exact v_k add their terms to one Fraction; each numeric
+    v_k adds v_k times the correctly rounded float of (R^k P)(x)/k!.  With
+    no numeric leg the value is that Fraction (its report's float is
+    infinite when the value is beyond the float range); otherwise it is the
+    Fraction's float plus the numeric terms, and a total that is not finite
+    is reported as not converged.  The report aggregates the numeric legs:
+    order_used is the deepest summation order (or the reduction degree on
+    the all-exact route), terms_used the total terms consumed, residual the
+    worst gap.
     """
     x = as_rational(x)
     if P.is_zero:
@@ -262,44 +257,34 @@ def reg_sum(
         return Fraction(0), report
     cap = len(P.coeffs) - 1
     derivs = reg_derivatives(f, T.constant, method, cap)
-    applied = _reduced_values(T, P, x)
-
-    if derivs.is_exact:
-        total = Fraction(0)
-        for k in range(cap + 1):
-            total += derivs.values[k] * applied[k] / math.factorial(k)
+    exact, numeric = Fraction(0), 0.0
+    rows = zip(derivs.values, derivs.reports, _reduced_values(T, P, x))
+    for k, (v, leg, applied) in enumerate(rows):
+        if leg is None:
+            exact += v * applied / math.factorial(k)
+        else:
+            num, den = applied.as_integer_ratio()
+            numeric += v * _ratio(num, den * math.factorial(k))
+    exact_float = _ratio(*exact.as_integer_ratio())
+    legs = [r for r in derivs.reports if r is not None]
+    if not legs:
         report = ConvergenceReport(
-            value=_ratio(*total.as_integer_ratio()), exact=total, method_used=method,
-            order_used=cap, terms_used=cap + 1, converged=True, residual=0.0,
-            provenance=PROV_EXACT,
+            value=exact_float, exact=exact, method_used=method, order_used=cap,
+            terms_used=cap + 1, converged=True, residual=0.0, provenance=PROV_EXACT,
         )
-        return total, report
-
-    total_f = 0.0
-    for k in range(cap + 1):
-        v = float(derivs.values[k])
-        try:
-            term = v * _ratio(*applied[k].as_integer_ratio()) / math.factorial(k)
-        except OverflowError:  # k! is beyond the float range from k = 171 on
-            term = math.inf
-        if not math.isfinite(term):
-            # (R^k P)(x) and k! can each overflow while their ratio fits.
-            num, den = applied[k].as_integer_ratio()
-            term = v * _ratio(num, den * math.factorial(k))
-        total_f += term
-    numeric = [r for r in derivs.reports if r is not None]
-    provenance = "+".join(sorted(set(derivs.provenance)))
+        return exact, report
+    total = exact_float + numeric
     report = ConvergenceReport(
-        value=total_f,
+        value=total,
         exact=None,
         method_used=method,
-        order_used=max((r.order_used for r in numeric), default=0),
-        terms_used=sum(r.terms_used for r in numeric),
-        converged=all(r.converged for r in numeric) and math.isfinite(total_f),
-        residual=max((r.residual for r in numeric), default=0.0),
-        provenance=provenance,
+        order_used=max(r.order_used for r in legs),
+        terms_used=sum(r.terms_used for r in legs),
+        converged=all(r.converged for r in legs) and math.isfinite(total),
+        residual=max(r.residual for r in legs),
+        provenance="+".join(sorted(set(derivs.provenance))),
     )
-    return total_f, report
+    return total, report
 
 
 def euler_numbers(n_max: int) -> EulerTable:

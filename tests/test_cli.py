@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from regsum.algebra import parse_polynomial
 from regsum.cli import main
 
 
@@ -323,6 +324,20 @@ def test_sum_numeric_leg_past_the_float_factorials(capsys):
     assert fields["converged"] == "true"
 
 
+def test_sum_mixed_table_keeps_its_exact_legs_exact(capsys):
+    # altlog at c = 1 has a numeric v_0 and exact v_k for k >= 1; the value
+    # is eta(-20) = 0, which a float sum of the exact legs misses.
+    code, out, err = run(capsys, "sum", "--series", "altlog", "--poly", "x^21",
+                         "-o", "json")
+    assert (code, err) == (0, "")
+    payload = strict_json(out)
+    assert payload["value_float"] == 0.0
+    assert payload["converged"] is True
+    code, out, _ = run(capsys, "sum", "--series", "altlog", "--poly", "x^21")
+    assert code == 0
+    assert text_fields(out)["value_float"] == "0"
+
+
 def test_sum_degree_171_on_the_default_shift(capsys):
     code, out, err = run(capsys, "sum", "--series", "altlog", "--poly", "x^171",
                          "-o", "json")
@@ -473,6 +488,21 @@ def test_python_m_regsum_exit_codes(argv, expected):
         assert strict_json(proc.stdout)["request"]["subcommand"] == argv[0]
 
 
+def test_closed_stdout_is_not_a_usage_error():
+    # The table is about 74 kB, more than a pipe holds, so the writer meets
+    # the closed pipe after the reader takes its one line and leaves.
+    env = {k: v for k, v in os.environ.items() if k != "REGSUM_TERMS"}
+    env["PYTHONPATH"] = str(SRC)
+    proc = subprocess.Popen([sys.executable, "-m", "regsum", "euler", "400"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0)
+    assert proc.stdout.readline() == b"E_0: 1\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # fuzzing over series literals
 
@@ -514,3 +544,89 @@ def test_series_literal_fuzz(argv):
             assert payload["request"]["subcommand"] == argv[0]
         else:
             assert code == 2 and err.getvalue().startswith("error:")
+
+
+# ---------------------------------------------------------------------------
+# fuzzing over polynomial and operator literals
+
+SMALL = st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12))
+OP_RATIONALS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+def _coeff_text(c):
+    return str(c) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+
+
+@st.composite
+def _mangled(draw, text, alphabet):
+    """text as drawn, or (half the time) with one to three insertions,
+    replacements or deletions of characters from alphabet."""
+    for _ in range(draw(st.integers(1, 3)) if draw(st.booleans()) else 0):
+        action = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if action == "insert" or not text:
+            i = draw(st.integers(0, len(text)))
+            text = text[:i] + draw(st.sampled_from(alphabet)) + text[i:]
+        else:
+            i = draw(st.integers(0, len(text) - 1))
+            new = draw(st.sampled_from(alphabet)) if action == "replace" else ""
+            text = text[:i] + new + text[i + 1:]
+    return text
+
+
+def _degree_at_most_12(text):
+    # A deletion can join two digit runs into a higher power ("x^1 + 2"
+    # to "x^12"); such texts are redrawn to keep each example quick.
+    try:
+        return len(parse_polynomial(text).coeffs) <= 13
+    except (ValueError, ZeroDivisionError):
+        return True
+
+
+@st.composite
+def poly_text(draw):
+    text = ""
+    for i in range(draw(st.integers(1, 4))):
+        c, k = draw(SMALL), draw(st.integers(0, 12))
+        sign = "-" if c < 0 else ("+" if i else "")
+        term = _coeff_text(abs(c)) + (f"*x^{k}" if k else "")
+        text += f" {sign} {term}" if i else sign + term
+    return draw(_mangled(text, "x^*/+- ()").filter(_degree_at_most_12))
+
+
+@st.composite
+def op_text(draw):
+    kind = draw(st.sampled_from(["identity", "diff", "shift", "delta", "symbol"]))
+    if kind in ("shift", "delta"):
+        text = f"{kind}:{_coeff_text(draw(OP_RATIONALS))}"
+    elif kind == "symbol":
+        coeffs = draw(st.lists(OP_RATIONALS, min_size=1, max_size=6))
+        text = "symbol:[" + ",".join(map(_coeff_text, coeffs)) + "]"
+    else:
+        text = kind
+    return draw(_mangled(text, ":[],/- x"))
+
+
+@st.composite
+def poly_op_argv(draw):
+    argv = ["sum", f"--series={draw(st.sampled_from(['alt', 'altlog']))}",
+            f"--poly={draw(poly_text())}", f"--op={draw(op_text())}",
+            "-N", str(draw(st.integers(16, 700)))]
+    if draw(st.booleans()):
+        argv.append(f"--x={_coeff_text(draw(OP_RATIONALS))}")
+    return argv + ["-o", draw(st.sampled_from(["text", "json"]))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly_op_argv())
+def test_poly_and_operator_literal_fuzz(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+    elif argv[-1] == "json" and out.getvalue():
+        assert strict_json(out.getvalue())["request"]["subcommand"] == "sum"
+    elif out.getvalue() == "":
+        assert code == 2 and err.getvalue().startswith("error:")

@@ -346,7 +346,9 @@ def test_reg_sum_propagates_not_regular():
 
 def reference_reg_sum(f, T, P, x, method):
     """Reference reduction: (R^k P)(x) by applying R to P over and over,
-    then the same two combination loops as reg_sum."""
+    then reg_sum's combination rule: an all-exact table sums to a Fraction;
+    a mixed one to the float of its exact part plus one float per numeric
+    leg."""
     x = Fraction(x)
     cap = len(P.coeffs) - 1
     c, R = T.remainder()
@@ -365,9 +367,15 @@ def reference_reg_sum(f, T, P, x, method):
             terms_used=cap + 1, converged=True, residual=0.0,
             provenance="exact-closed-form",
         )
-    total_f = 0.0
+    # Exact legs into one Fraction, converted once; each numeric leg adds
+    # v_k times the correctly rounded (R^k P)(x)/k!.
+    exact, numeric_f = Fraction(0), 0.0
     for k in range(cap + 1):
-        total_f += float(derivs.values[k]) * float(applied[k]) / math.factorial(k)
+        if derivs.reports[k] is None:
+            exact += derivs.values[k] * applied[k] / math.factorial(k)
+        else:
+            numeric_f += derivs.values[k] * float(applied[k] / math.factorial(k))
+    total_f = float(exact) + numeric_f
     numeric = [r for r in derivs.reports if r is not None]
     return total_f, ConvergenceReport(
         value=total_f, exact=None, method_used=method,
@@ -425,6 +433,18 @@ def test_reg_sum_exact_value_beyond_float_range():
     assert report.converged
     assert report.value == math.inf
     assert report.to_json_dict()["value"] is None
+
+
+def test_reg_sum_keeps_exact_legs_exact_in_a_mixed_table():
+    # altlog at c = 1: v_0 = log 2 is numeric, v_k for k >= 1 exact.  At
+    # x = 0, (R^0 x^d)(0) = 0, so the value is -alt_power_sum(d - 1) rounded
+    # once; summing the exact legs' large alternating terms as floats loses
+    # it from d = 19 on.
+    for d in range(2, 42):
+        p = Polynomial.monomial(d)
+        value, report = reg_sum(ALTLOG, op_shift(1, d + 4), p, 0, CESARO)
+        assert value == float(-alt_power_sum(d - 1)), d
+        assert report.converged
 
 
 def test_reg_sum_numeric_leg_past_the_float_factorials():
