@@ -271,7 +271,7 @@ def cmd_cesaro(args: argparse.Namespace) -> int:
 def cmd_abel(args: argparse.Namespace) -> int:
     _check_budget(args)
     series = _literal(parse_series, args.series, "--series")
-    report = abel_limit(series, tol=args.tol)
+    report = abel_limit(series, tol=args.tol, max_terms=args.n_max)
     fields = report.to_json_dict()
     return _emit(args, _field_lines(fields), fields, report.converged)
 

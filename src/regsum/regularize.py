@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .algebra import Polynomial, RationalLike, as_rational
 from .operators import OperatorSpec
@@ -27,7 +27,9 @@ from .summation import (
     SeriesSpec,
     SummationMethod,
     _memoized,
+    _Prescaled,
     _ratio,
+    _scaled_terms,
     cauchy_product,
     evaluate,
 )
@@ -107,20 +109,22 @@ def reg_derivatives(
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     c = as_rational(c)
-    # a_n, shared by every k of this call.  Only the iterated-mean budget
-    # is kept: a power-boundary scan can run to ~10^6 terms, which are
-    # computed afresh rather than held.
-    memo = _memoized(f.term)
-
-    def base(n: int) -> Fraction:
-        return memo(n) if n <= method.n_max else f.term(n)
+    closed = [f.exact_reg_deriv and f.exact_reg_deriv(k, c, method)
+              for k in range(k_max + 1)]
+    # a_n, shared by every k of this call; read at c = 0 and by power-
+    # boundary legs, whose scan stops at the method's term budget.
+    base = _memoized(f.term)
+    # The iterated means read their terms from one integer block, built on
+    # the first numeric leg and advanced in place from order to order.
+    blocks = None
+    if method.tag in ("cesaro", "classical"):
+        orders = [k for k, v in enumerate(closed) if v is None]
+        blocks = _derivative_blocks(f, c, method.n_max, orders)
 
     def leg(k: int) -> tuple[Union[Fraction, float], Optional[ConvergenceReport]]:
         """v_k and, for a numeric entry, its report (None when exact)."""
-        if f.exact_reg_deriv is not None:
-            closed = f.exact_reg_deriv(k, c, method)
-            if closed is not None:
-                return closed, None
+        if closed[k] is not None:
+            return closed[k], None
         if c == 0:
             return Fraction(math.factorial(k)) * base(k), None
         if method.tag == "exact":
@@ -128,7 +132,10 @@ def reg_derivatives(
                 f"no closed form for derivative order {k} of {f.label or f.kind} "
                 f"at c={c}; use a numeric method"
             )
-        report = evaluate(_derivative_series(f, base, c, k), method)
+        series = _derivative_series(f, base, c, k)
+        if blocks is not None:
+            series = _Prescaled(series.term, series.kind, series.label, block=[next(blocks)])
+        report = evaluate(series, method)
         if not report.converged:
             raise NotRegularError(
                 f"derivative order {k} of {f.label or f.kind} at c={c} did not "
@@ -142,6 +149,42 @@ def reg_derivatives(
     numeric = PROV_ABEL if method.tag == "abel" else PROV_CESARO
     provenance = [PROV_EXACT if r is None else numeric for r in reports]
     return RegularizedDerivatives(c, values, provenance, method, reports)
+
+
+def _derivative_blocks(
+    f: SeriesSpec, c: Fraction, n_max: int, orders: list[int]
+) -> Iterator[tuple[list[int], int]]:
+    """For each k in ``orders`` (increasing, c != 0): the terms n <= n_max of
+    a_n [n]_k c^(n-k) as ints over one denominator, (numerators, den).
+
+    With a_n = A_n / D and c = p/q, order 0 is A_n p^n q^(N-n) over D q^N.
+    Order k follows from order k - 1 by one small multiplication per term,
+    (n-k+1) q / p, with den taking |p| and the numerators p's sign.  The
+    denominator is not the least one, but each ratio is the same rational.
+    Every order but the last is yielded as a copy, so the engine may run
+    its prefix passes in place on what it gets."""
+    nums, den = _scaled_terms(f, n_max + 1)
+    p, q = c.numerator, c.denominator
+    if p != 1:
+        power = 1
+        for n in range(n_max + 1):
+            nums[n] *= power
+            power *= p
+    if q != 1:
+        power = 1
+        for n in range(n_max, -1, -1):
+            nums[n] *= power
+            power *= q
+        den *= q ** n_max
+    step = q if p > 0 else -q
+    k = 0
+    for target in orders:
+        while k < target:
+            k += 1
+            for n in range(k - 1, n_max + 1):
+                nums[n] *= (n - k + 1) * step
+            den *= abs(p)
+        yield (nums if target == orders[-1] else nums[:]), den
 
 
 def _derivative_series(

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
@@ -278,33 +279,72 @@ def partial_sums(a: SeriesSpec) -> SeriesSpec:
 def cauchy_product(a: SeriesSpec, b: SeriesSpec) -> SeriesSpec:
     """Coefficientwise product series: c_n = sum_i a_(n-i) b_i, exact.
 
-    The convolution triangle is quadratic in the number of terms, so results
-    are cached per input pair and the returned series memoizes its terms;
-    repeated evaluations at increasing depth pay the triangle once.
+    The convolution runs on each factor's numerators over its running
+    common denominator, so an output term costs n + 1 int products and one
+    Fraction.  The triangle is still quadratic in the number of terms, so
+    results are cached per input pair and the returned series memoizes its
+    terms; repeated evaluations at increasing depth pay the triangle once.
     """
-    ta = _memoized(a.term)
-    tb = _memoized(b.term)
+    ta, tb = _IntTerms(a.term), _IntTerms(b.term)
 
     def term(n: int) -> Fraction:
-        total = Fraction(0)
-        for i in range(n + 1):
-            total += ta(n - i) * tb(i)
-        return total
+        na, nb = ta.upto(n), tb.upto(n)
+        return Fraction(sum(map(operator.mul, na[n::-1], nb)), ta.den * tb.den)
 
     return SeriesSpec(
         _memoized(term), kind="custom", label=f"product({a.label},{b.label})"
     )
 
 
+class _IntTerms:
+    """A series' terms read so far, as ints over their least common
+    denominator ``den``; the list is rescaled whenever a new term's
+    denominator does not divide it."""
+
+    def __init__(self, term: Callable[[int], Fraction]):
+        self.term = term
+        self.nums: list[int] = []
+        self.den = 1
+
+    def upto(self, n: int) -> list[int]:
+        """The numerators, read through term n at least."""
+        nums = self.nums
+        while len(nums) <= n:
+            t = self.term(len(nums))
+            if not isinstance(t, (int, Fraction)):
+                raise TypeError(f"series term {t!r} is not an exact rational")
+            d = t.denominator
+            if self.den % d:
+                grow = d // math.gcd(self.den, d)
+                nums[:] = [v * grow for v in nums]
+                self.den *= grow
+            nums.append(t.numerator * (self.den // d))
+        return nums
+
+
 # ---------------------------------------------------------------------------
 # Iterated-mean (Cesaro-type) engine
 
 
+@dataclass(frozen=True, eq=False)
+class _Prescaled(SeriesSpec):
+    """A series whose first terms also come as ints over one denominator:
+    ``block`` holds one pair (numerators, D) with a_n = numerators[n] / D.
+    The iterated-mean engine takes that list as its working array when the
+    count matches, instead of forming and scaling the terms.  It takes it
+    once, and leaves prefix sums in it; a later run reads the terms."""
+
+    block: list = field(default_factory=list)
+
+
 def _scaled_terms(a: SeriesSpec, count: int) -> tuple[list[int], int]:
-    """The first ``count`` terms as ints over their least common denominator
-    D: returns (numerators, D) with a_n = numerators[n] / D exactly.  The
-    term list is converted in place, so its Fractions are dropped as they
-    are scaled."""
+    """The first ``count`` terms as ints over one common denominator D:
+    returns (numerators, D) with a_n = numerators[n] / D exactly.  D is the
+    least one unless the series brought its own block (``_Prescaled``).
+    The term list is converted in place, so its Fractions are dropped as
+    they are scaled."""
+    if isinstance(a, _Prescaled) and a.block and len(a.block[0][0]) == count:
+        return a.block.pop()
     terms = a.terms(count)
     for t in terms:
         if not isinstance(t, (int, Fraction)):
@@ -373,6 +413,27 @@ def _checkpoint_report(
     )
 
 
+def _iterated_means(
+    sums: list[int], den: int, orders: range, N: int, tol: float, k_max: int
+) -> ConvergenceReport:
+    """The integer core of both iterated-mean entry points: the means of the
+    consecutive orders in ``orders`` over the scaled terms sums / den, with
+    every prefix pass run in place.  Returns the first converged report, or
+    else the one with the smallest residual."""
+    for _ in range(orders.start):
+        _prefix_pass(sums)
+    best: ConvergenceReport | None = None
+    for k in orders:
+        _prefix_pass(sums)
+        method = SummationMethod("cesaro", order=k, n_max=N, tol=tol, k_max=k_max)
+        report = _checkpoint_report(sums, den, k, method)
+        if report.converged:
+            return report
+        if best is None or report.residual < best.residual:
+            best = report
+    return best
+
+
 def cesaro_limit(a: SeriesSpec, k: int, N: int = DEFAULT_TERMS, tol: float = DEFAULT_TOL) -> ConvergenceReport:
     """Order-k iterated-mean sum of the series: lim of the (k+1)-fold prefix
     sum at n divided by binom(n+k, k).
@@ -390,11 +451,8 @@ def cesaro_limit(a: SeriesSpec, k: int, N: int = DEFAULT_TERMS, tol: float = DEF
         raise ValueError("tolerance must be positive")
     if k < 0:
         raise ValueError("iterated-mean order must be nonnegative")
-    method = SummationMethod("cesaro", order=k, n_max=N, tol=tol)
     sums, den = _scaled_terms(a, N + 1)
-    for _ in range(k + 1):
-        _prefix_pass(sums)
-    return _checkpoint_report(sums, den, k, method)
+    return _iterated_means(sums, den, range(k, k + 1), N, tol, DEFAULT_ORDER_CAP)
 
 
 def cesaro_auto(
@@ -415,16 +473,7 @@ def cesaro_auto(
     if N < 16:
         raise ValueError("need at least 16 terms for the checkpoint scheme")
     sums, den = _scaled_terms(a, N + 1)
-    best: ConvergenceReport | None = None
-    for k in range(k_max + 1):
-        _prefix_pass(sums)
-        method = SummationMethod("cesaro", order=k, n_max=N, tol=tol, k_max=k_max)
-        report = _checkpoint_report(sums, den, k, method)
-        if report.converged:
-            return report
-        if best is None or report.residual < best.residual:
-            best = report
-    return best
+    return _iterated_means(sums, den, range(k_max + 1), N, tol, k_max)
 
 
 # ---------------------------------------------------------------------------
@@ -452,15 +501,18 @@ def abel_limit(
     schedule: Sequence[float] | None = None,
     term_budget_per_point: Callable[[float], int] | None = None,
     tol: float = DEFAULT_TOL,
+    max_terms: int | None = None,
 ) -> ConvergenceReport:
     """Sum by the power-boundary method: evaluate g(t) = sum a_n t^n at an
     increasing schedule of t in (0,1) and extrapolate to t = 1.
 
     Extrapolation is quadratic in h = 1 - t over a sliding window of three
-    points.  Two guards end the scan early: agreement of successive
-    extrapolants well inside tol, and an estimate of float cancellation noise
+    points.  Three guards end the scan early: agreement of successive
+    extrapolants well inside tol, an estimate of float cancellation noise
     (machine epsilon times sum |a_n| t^n) crossing tol/10, beyond which
-    deeper points only add noise.
+    deeper points only add noise, and a point that would read terms past
+    index ``max_terms`` (None: no bound).  Fewer than three points give no
+    extrapolant, which is reported as not converged.
     """
     schedule = list(default_abel_schedule() if schedule is None else schedule)
     if not schedule:
@@ -478,10 +530,12 @@ def abel_limit(
     gs: list[float] = []
     extrapolants: list[float] = []
     residual = math.inf
-    max_terms = 0
+    terms_used = 0
 
     for t in schedule:
         n_terms = max(4, budget(t))
+        if max_terms is not None and n_terms > max_terms:
+            break
         while len(fvals) < n_terms + 1:
             fvals.append(float(a.term(len(fvals))))
         total = 0.0
@@ -495,7 +549,7 @@ def abel_limit(
         noise = magnitude * eps
         if not math.isfinite(total) or noise > tol / 10.0:
             break
-        max_terms = max(max_terms, n_terms + 1)
+        terms_used = max(terms_used, n_terms + 1)
         hs.append(1.0 - t)
         gs.append(total)
         if len(gs) >= 3:
@@ -518,7 +572,7 @@ def abel_limit(
         exact=None,
         method_used=method,
         order_used=2,
-        terms_used=max_terms,
+        terms_used=terms_used,
         converged=converged,
         residual=residual,
     )
@@ -529,8 +583,9 @@ def abel_limit(
 
 
 def evaluate(a: SeriesSpec, method: SummationMethod) -> ConvergenceReport:
-    """Run the numeric method the tag names.  Classical summation is the
-    order-0 iterated mean (plain partial sums at the same checkpoints)."""
+    """Run the numeric method the tag names, within its term budget n_max.
+    Classical summation is the order-0 iterated mean (plain partial sums at
+    the same checkpoints)."""
     if method.tag == "classical":
         return cesaro_limit(a, 0, method.n_max, method.tol)
     if method.tag == "cesaro":
@@ -538,7 +593,7 @@ def evaluate(a: SeriesSpec, method: SummationMethod) -> ConvergenceReport:
             return cesaro_auto(a, method.k_max, method.n_max, method.tol)
         return cesaro_limit(a, method.order, method.n_max, method.tol)
     if method.tag == "abel":
-        return abel_limit(a, tol=method.tol)
+        return abel_limit(a, tol=method.tol, max_terms=method.n_max)
     raise ValueError(f"method {method.tag!r} has no numeric engine")
 
 

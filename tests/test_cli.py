@@ -250,6 +250,28 @@ def test_abel_non_finite_json_is_strict(capsys):
     assert payload["value"] is None and payload["residual"] is None
 
 
+def test_abel_terms_bound_the_scan(capsys):
+    code, out, _ = run(capsys, "abel", "--series", "alt", "-N", "20", "-o", "json")
+    payload = strict_json(out)
+    assert code == 2
+    assert payload["request"]["n_max"] == 20
+    assert payload["terms_used"] == 0 and payload["converged"] is False
+    code, out, _ = run(capsys, "abel", "--series", "geom:1/2", "-N", "7680", "-o", "json")
+    assert code == 0 and strict_json(out)["terms_used"] == 7681
+    code, out, _ = run(capsys, "abel", "--series", "geom:1/2", "-o", "json")
+    assert code == 0 and strict_json(out)["terms_used"] == 3841
+
+
+def test_sum_abel_method_reads_the_term_budget(capsys):
+    code, out, _ = run(capsys, "sum", "--series", "altlog", "--poly", "x^2 + 1",
+                       "--method", "abel", "-N", "500", "-o", "json")
+    assert code == 2
+    code, out, _ = run(capsys, "sum", "--series", "altlog", "--poly", "x^2 + 1",
+                       "--method", "abel", "-o", "json")
+    payload = strict_json(out)
+    assert code == 0 and payload["terms_used"] == 3841
+
+
 @pytest.mark.parametrize("output", ["text", "json"])
 def test_cesaro_float_overflow_exits_2(capsys, output):
     # the partial sums of 1 - 2 + 4 - ... pass the float range before N
@@ -511,18 +533,13 @@ FUZZ_POLYS = ["1", "x", "x^2 - 1/2", "3*x^3 + x", "-2/3*x^4 + 5"]
 RATIOS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 
-def _quick_power_boundary(r):
-    # Positive ratios in (3/4, 1] make the power-boundary scan read 61,441
-    # terms or more, about 3 s each, so the abel draws leave them out.
-    return not Fraction(3, 4) < r <= 1
-
-
 @st.composite
 def series_argv(draw):
+    # Every draw passes -N, which bounds the abel scan too, so every ratio
+    # is drawn for every command.
     command = draw(st.sampled_from(["cesaro", "abel", "sum"]))
-    ratios = RATIOS.filter(_quick_power_boundary) if command == "abel" else RATIOS
     series = draw(st.one_of(st.sampled_from(["alt", "altlog"]),
-                            ratios.map(lambda r: f"geom:{r}")))
+                            RATIOS.map(lambda r: f"geom:{r}")))
     argv = [command, f"--series={series}", "-N", str(draw(st.integers(16, 700)))]
     if command == "sum":
         argv.append(f"--poly={draw(st.sampled_from(FUZZ_POLYS))}")

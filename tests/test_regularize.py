@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from regsum.regularize import (
     reg_operator,
     reg_sum,
 )
+from regsum.regularize import _derivative_blocks, _derivative_series
 from regsum.summation import (
     ConvergenceReport,
     SummationMethod,
@@ -125,6 +127,40 @@ def test_numeric_derivatives_match_the_fraction_term_formula(series, operator, m
         assert derivs.provenance[k] != "exact-closed-form"
         assert derivs.reports[k] == report
         assert derivs.values[k] == report.value
+
+
+BLOCK_SERIES = ["alt", "altlog", "geom:3/2", "geom:-2/5", "table"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(BLOCK_SERIES),
+       st.integers(-7, 7).filter(bool), st.integers(1, 7),
+       st.lists(st.integers(0, 6), min_size=1, max_size=4, unique=True))
+def test_derivative_block_entries_are_the_derivative_terms(name, p, q, orders):
+    # Entry n of the order-k block, over its denominator, is the k-th
+    # derivative term a_n [n]_k c^(n-k), for any subset of the orders.
+    f = (series_table(["1/2", "-3", "5/6", "0", "7/4"]) if name == "table"
+         else parse_series(name))
+    c = Fraction(p, q)
+    orders = sorted(orders)
+    for k, (nums, den) in zip(orders, _derivative_blocks(f, c, 64, orders)):
+        series = _derivative_series(f, f.term, c, k)
+        assert len(nums) == 65 and den > 0
+        assert [Fraction(v, den) for v in nums] == series.terms(65), (k, c)
+
+
+def test_numeric_leg_holds_one_block():
+    # altlog's v_0 at c = 1 is the one numeric leg; its block of 4001
+    # ints over lcm(1..4000) is about 3 MB, so a second live copy of it
+    # would cross the bound.
+    tracemalloc.start()
+    try:
+        reg_sum(ALTLOG, op_shift(Fraction(1, 2)), parse_polynomial("x^6-3*x^2+1/2"),
+                Fraction(1, 3), CESARO)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000, peak
 
 
 def test_abel_route_tags_provenance():

@@ -215,6 +215,26 @@ def test_cauchy_product_alt_squared():
         assert prod.term(n) == Fraction((-1) ** n * (n + 1))
 
 
+def test_cauchy_product_terms_equal_the_fraction_convolution():
+    # Mixed denominators that grow with n (altlog, a geometric ratio, a
+    # finite table), so the running common denominators get rescaled.
+    table = series_table(["1/2", "-3", "5/6", "0", "7/4"])
+    factors = [ALTLOG, series_geometric(Fraction(-2, 3)), table, ALT]
+    for a in factors:
+        for b in factors:
+            prod = cauchy_product(a, b)
+            for n in range(40):
+                expect = sum((a.term(n - i) * b.term(i) for i in range(n + 1)), Fraction(0))
+                got = prod.term(n)
+                assert type(got) is Fraction and got == expect, (a.label, b.label, n)
+
+
+def test_cauchy_product_refuses_float_terms():
+    floats = series_custom(lambda n: 0.5, "floats")
+    with pytest.raises(TypeError):
+        cauchy_product(ALT, floats).term(3)
+
+
 def test_cauchy_product_is_cached_per_pair():
     assert cauchy_product(ALT, ALTLOG) is cauchy_product(ALT, ALTLOG)
 
@@ -423,6 +443,21 @@ def test_abel_non_finite_report_is_strict_json():
     d = r.to_json_dict()
     assert d["value"] is None and d["residual"] is None
     assert strict_loads(r.to_json()) == d
+
+
+def test_abel_term_budget_bounds_the_scan():
+    # The default schedule reads 481, 961, 1921, 3841, 7681, ... terms.
+    none = abel_limit(ALT, max_terms=20)
+    assert not none.converged and none.terms_used == 0
+    assert math.isnan(none.value) and none.residual == math.inf
+    two = abel_limit(ALT, max_terms=1000)
+    assert not two.converged and two.terms_used == 961
+    assert abel_limit(ALT, max_terms=3840) == abel_limit(ALT)
+    half = series_geometric(Fraction(1, 2))
+    assert abel_limit(half).terms_used == 7681
+    assert abel_limit(half, max_terms=7679).terms_used == 3841
+    bounded = evaluate(half, SummationMethod("abel", n_max=4000))
+    assert bounded == abel_limit(half, max_terms=4000)
 
 
 def test_abel_schedule_validation():
