@@ -15,8 +15,9 @@ each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterator, Optional, Union
 
 from .algebra import Polynomial, RationalLike, as_rational
@@ -103,14 +104,58 @@ def reg_derivatives(
     series decays and the order-0 mean (plain classical summation) already
     converges, which the auto escalation finds on its own.
 
+    The v_k depend only on (f, c, method), so each is worked out once and
+    kept in that key's table (see ``_derivative_table``); a later call
+    reads it and extends it only past its deepest order.  This assumes
+    ``f.term`` is a pure function of n.
+
     Raises NotRegularError when a numeric entry fails to converge within the
     method's budget, and for method tag "exact" when no closed form exists.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     c = as_rational(c)
-    closed = [f.exact_reg_deriv and f.exact_reg_deriv(k, c, method)
-              for k in range(k_max + 1)]
+    table = _derivative_table(f, c, method)
+    if len(table.legs) <= k_max and table.decline is None:
+        _extend_table(table, f, c, method, k_max)
+    if len(table.legs) <= k_max:
+        raise NotRegularError(*table.decline)
+    values, reports = map(list, zip(*table.legs[: k_max + 1]))
+    numeric = PROV_ABEL if method.tag == "abel" else PROV_CESARO
+    provenance = [PROV_EXACT if r is None else numeric for r in reports]
+    return RegularizedDerivatives(c, values, provenance, method, reports)
+
+
+@dataclass
+class _DerivativeTable:
+    """The v_k of one (series, c, method) worked out so far: (value, report)
+    for k = 0..K, the report None on an exact leg, and the first decline as
+    the (message, report) of its NotRegularError, after which the table
+    never grows."""
+
+    legs: list[tuple[Union[Fraction, float], Optional[ConvergenceReport]]] = field(
+        default_factory=list
+    )
+    decline: Optional[tuple[str, Optional[ConvergenceReport]]] = None
+
+
+@lru_cache(maxsize=64)
+def _derivative_table(f: SeriesSpec, c: Fraction, method: SummationMethod) -> _DerivativeTable:
+    """The one table of (f, c, method), empty when first asked for.  The key
+    holds the series, as ``cauchy_product``'s does; the table holds only the
+    per-order results, so the cache stays small."""
+    return _DerivativeTable()
+
+
+def _extend_table(
+    table: _DerivativeTable, f: SeriesSpec, c: Fraction, method: SummationMethod, k_max: int
+) -> None:
+    """Append the legs K+1..k_max, or up to the first decline, which is
+    recorded instead of raised.  The a_n memo and the integer block live
+    only for this call."""
+    start = len(table.legs)
+    closed = {k: f.exact_reg_deriv and f.exact_reg_deriv(k, c, method)
+              for k in range(start, k_max + 1)}
     # a_n, shared by every k of this call; read at c = 0 and by power-
     # boundary legs, whose scan stops at the method's term budget.
     base = _memoized(f.term)
@@ -118,37 +163,35 @@ def reg_derivatives(
     # the first numeric leg and advanced in place from order to order.
     blocks = None
     if method.tag in ("cesaro", "classical"):
-        orders = [k for k, v in enumerate(closed) if v is None]
+        orders = [k for k, v in closed.items() if v is None]
         blocks = _derivative_blocks(f, c, method.n_max, orders)
-
-    def leg(k: int) -> tuple[Union[Fraction, float], Optional[ConvergenceReport]]:
-        """v_k and, for a numeric entry, its report (None when exact)."""
-        if closed[k] is not None:
-            return closed[k], None
+    for k, value in closed.items():
+        if value is not None:
+            table.legs.append((value, None))
+            continue
         if c == 0:
-            return Fraction(math.factorial(k)) * base(k), None
+            table.legs.append((Fraction(math.factorial(k)) * base(k), None))
+            continue
         if method.tag == "exact":
-            raise NotRegularError(
+            table.decline = (
                 f"no closed form for derivative order {k} of {f.label or f.kind} "
-                f"at c={c}; use a numeric method"
+                f"at c={c}; use a numeric method",
+                None,
             )
+            return
         series = _derivative_series(f, base, c, k)
         if blocks is not None:
             series = _Prescaled(series.term, series.kind, series.label, block=[next(blocks)])
         report = evaluate(series, method)
         if not report.converged:
-            raise NotRegularError(
+            table.decline = (
                 f"derivative order {k} of {f.label or f.kind} at c={c} did not "
                 f"converge under {method.describe()} "
                 f"(residual {report.residual:.3g}, tol {method.tol:g})",
                 report,
             )
-        return report.value, report
-
-    values, reports = map(list, zip(*map(leg, range(k_max + 1))))
-    numeric = PROV_ABEL if method.tag == "abel" else PROV_CESARO
-    provenance = [PROV_EXACT if r is None else numeric for r in reports]
-    return RegularizedDerivatives(c, values, provenance, method, reports)
+            return
+        table.legs.append((report.value, report))
 
 
 def _derivative_blocks(

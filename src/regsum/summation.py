@@ -55,6 +55,10 @@ class SeriesSpec:
     of sum_n a_n * [n]_k * c^(n-k) under the given method, or None when no
     closed form applies at that (k, c); builtins carry one where a formula
     exists.
+
+    ``term`` must be a pure function of n: ``reg_derivatives`` works out each
+    numeric v_k once per (series, c, method) and keeps it, in at most 64
+    tables, so a series whose terms change later gets the earlier answer.
     """
 
     term: Callable[[int], Fraction]
@@ -88,6 +92,8 @@ class SummationMethod:
         if self.tag == "cesaro" and self.order != "auto":
             if not isinstance(self.order, int) or self.order < 0:
                 raise ValueError("iterated-mean order must be a nonnegative int or 'auto'")
+        if not isinstance(self.k_max, int) or not 0 <= self.k_max <= MAX_ORDER_CAP:
+            raise ValueError(f"order cap k_max must be an int in 0..{MAX_ORDER_CAP}")
 
     def describe(self) -> str:
         if self.tag == "cesaro":
@@ -95,7 +101,7 @@ class SummationMethod:
         return self.tag
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConvergenceReport:
     value: float
     exact: Optional[Fraction]
@@ -468,8 +474,8 @@ def cesaro_auto(
     Each escalation adds one more prefix pass to the same array, so the whole
     scan costs the same as a single run at k_max.
     """
-    if k_max > MAX_ORDER_CAP:
-        raise ValueError(f"order cap is {MAX_ORDER_CAP}")
+    if not 0 <= k_max <= MAX_ORDER_CAP:
+        raise ValueError(f"order cap k_max must lie in 0..{MAX_ORDER_CAP}")
     if N < 16:
         raise ValueError("need at least 16 terms for the checkpoint scheme")
     sums, den = _scaled_terms(a, N + 1)

@@ -1,5 +1,7 @@
 """Exact finite reduction of divergent operator series, and its oracles."""
 
+import dataclasses
+import gc
 import math
 import random
 import tracemalloc
@@ -189,6 +191,106 @@ def test_divergent_entry_raises_not_regular():
 def test_k_max_validation():
     with pytest.raises(ValueError):
         reg_derivatives(ALT, 1, CESARO, -1)
+    # a negative order cap fails when the method is built, before it can
+    # key a derivative table or reach the engine
+    with pytest.raises(ValueError, match="k_max"):
+        reg_derivatives(series_geometric(-1), 1,
+                        SummationMethod("cesaro", order="auto", k_max=-1, n_max=64), 0)
+    with pytest.raises(ValueError, match="k_max"):
+        SummationMethod("cesaro", order="auto", k_max=13)
+
+
+# ---------------------------------------------------------------------------
+# derivative tables kept per (series, c, method)
+
+TABLE_METHODS = [
+    SummationMethod("classical"),
+    SummationMethod("cesaro", order=2),
+    CESARO,
+    SummationMethod("abel", n_max=600),
+]
+
+
+def _table_series(name):
+    if name == "table":
+        return series_table(["1/2", "-3", "5/6", "0", "7/4"])
+    return parse_series(name)
+
+
+def _derivatives_or_decline(f, c, method, k_max):
+    try:
+        return reg_derivatives(f, c, method, k_max)
+    except NotRegularError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("method", TABLE_METHODS, ids=lambda m: m.describe())
+@pytest.mark.parametrize("name, c", [
+    ("alt", 1), ("altlog", 1), ("geom:-1", 1), ("geom:1/2", Fraction(1, 3)), ("table", 1),
+])
+def test_a_kept_table_answers_as_a_fresh_call_would(name, c, method):
+    kept = _table_series(name)
+    declines = []
+    for k_max in (2, 6, 0, 6):
+        got = _derivatives_or_decline(kept, c, method, k_max)
+        want = _derivatives_or_decline(_table_series(name), c, method, k_max)
+        if isinstance(want, NotRegularError):
+            assert isinstance(got, NotRegularError), (k_max, got)
+            assert str(got) == str(want)
+            assert got.report == want.report
+            assert all(got is not earlier for earlier in declines)
+            declines.append(got)
+            continue
+        assert got == want, k_max
+        # each call gets lists of its own, so a caller's edits stay local
+        got.values.clear()
+        got.reports.clear()
+        got.provenance.clear()
+        for report in want.reports:
+            if report is not None:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    report.value = 0.0
+
+
+def test_a_repeated_sum_reads_no_terms():
+    reads = []
+
+    def term(n):
+        reads.append(n)
+        return Fraction(1, 2 ** n)
+
+    f = series_custom(term, "counted")
+    T, P = op_shift(1), parse_polynomial("x^2+1")
+    method = SummationMethod("cesaro", order="auto", n_max=400)
+    first = reg_sum(f, T, P, 0, method)
+    assert reads
+    reads.clear()
+    assert reg_sum(f, T, P, 0, method) == first
+    assert reads == []
+    reg_sum(f, T, parse_polynomial("x^3"), 0, method)
+    assert reads, "a deeper order extends the table from the terms"
+    reads.clear()
+    reg_sum(f, T, P, 0, SummationMethod("cesaro", order="auto", n_max=400, tol=2e-3))
+    assert reads, "a method differing only in tol keys its own table"
+
+
+@pytest.mark.parametrize("name", ["geom:-1", "altlog"])
+def test_a_table_keeps_only_its_per_order_results(name):
+    # The table of a fresh series is kept after the call; the integer block
+    # (about 3 MB for altlog) and the a_n memo must not be.
+    f = parse_series(name)
+    T, P = op_shift(1), parse_polynomial("x^3")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        reg_sum(f, T, P, 0, CESARO)
+        gc.collect()
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < 64_000, after - before
+    assert peak < 4_000_000, peak
 
 
 # ---------------------------------------------------------------------------

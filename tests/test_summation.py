@@ -252,6 +252,8 @@ def test_cesaro_validation():
         cesaro_limit(ALT, 1, tol=0.0)
     with pytest.raises(ValueError):
         cesaro_auto(ALT, k_max=13)
+    with pytest.raises(ValueError):
+        cesaro_auto(ALT, k_max=-1)
 
 
 def test_alt_needs_order_one():
