@@ -35,8 +35,6 @@ from .operators import (
     op_delta,
     op_diff,
     op_identity,
-    op_power,
-    op_scaled_sum,
     op_shift,
     parse_operator,
 )
@@ -84,8 +82,8 @@ __all__ = [
     "DomainError", "NonUnitError", "OrderExceededError", "PowerSeries",
     "cosh_series", "exp_series", "geometric_series", "log1p_series",
     "working_order",
-    "OperatorSpec", "op_delta", "op_diff", "op_identity", "op_power",
-    "op_scaled_sum", "op_shift", "parse_operator",
+    "OperatorSpec", "op_delta", "op_diff", "op_identity", "op_shift",
+    "parse_operator",
     "ConvergenceReport", "NotConvergedError", "SeriesSpec", "SummationMethod",
     "abel_limit", "cauchy_product", "cesaro_auto", "cesaro_limit", "evaluate",
     "falling_factorial_value", "parse_series", "partial_sums", "series_alt",

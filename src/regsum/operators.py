@@ -11,7 +11,6 @@ truncation is lossless.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
 
 from .algebra import ParseError, Polynomial, RationalLike, as_rational
 from .power_series import (
@@ -111,24 +110,6 @@ def op_delta(h: RationalLike, order: int = DEFAULT_SYMBOL_ORDER) -> OperatorSpec
     h = as_rational(h)
     sym = exp_series(h, order) - PowerSeries.constant(1, order)
     return OperatorSpec(sym, f"delta:{h}")
-
-
-def op_scaled_sum(terms: Sequence[tuple[RationalLike, OperatorSpec]]) -> OperatorSpec:
-    """Rational linear combination of operators."""
-    if not terms:
-        raise ValueError("empty linear combination")
-    acc = None
-    for c, op in terms:
-        piece = op.symbol * as_rational(c)
-        acc = piece if acc is None else acc + piece
-    return OperatorSpec(acc)
-
-
-def op_power(op: OperatorSpec, k: int) -> OperatorSpec:
-    """k-fold composition, by repeated symbol multiplication."""
-    if k < 0:
-        raise ValueError("negative operator power")
-    return OperatorSpec(op.symbol ** k)
 
 
 def symbol_coefficient_probe(op: OperatorSpec, n: int) -> Fraction:

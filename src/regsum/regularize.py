@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .algebra import Polynomial, RationalLike, as_rational
 from .operators import OperatorSpec
@@ -27,12 +27,10 @@ from .summation import (
     ConvergenceReport,
     SeriesSpec,
     SummationMethod,
-    _memoized,
-    _Prescaled,
+    _block_limit,
     _ratio,
     _scaled_terms,
     cauchy_product,
-    evaluate,
 )
 
 PROV_EXACT = "exact-closed-form"
@@ -151,26 +149,20 @@ def _extend_table(
     table: _DerivativeTable, f: SeriesSpec, c: Fraction, method: SummationMethod, k_max: int
 ) -> None:
     """Append the legs K+1..k_max, or up to the first decline, which is
-    recorded instead of raised.  The a_n memo and the integer block live
-    only for this call."""
+    recorded instead of raised.  The integer block lives only for this
+    call."""
     start = len(table.legs)
     closed = {k: f.exact_reg_deriv and f.exact_reg_deriv(k, c, method)
               for k in range(start, k_max + 1)}
-    # a_n, shared by every k of this call; read at c = 0 and by power-
-    # boundary legs, whose scan stops at the method's term budget.
-    base = _memoized(f.term)
-    # The iterated means read their terms from one integer block, built on
-    # the first numeric leg and advanced in place from order to order.
-    blocks = None
-    if method.tag in ("cesaro", "classical"):
-        orders = [k for k, v in closed.items() if v is None]
-        blocks = _derivative_blocks(f, c, method.n_max, orders)
+    # Every numeric leg reads its terms from one integer block, built on
+    # the first such leg and advanced in place from order to order.
+    orders = [k for k, v in closed.items() if v is None]
+    blocks = _derivative_blocks(f, c, method.n_max, orders)
     for k, value in closed.items():
+        if value is None and c == 0:
+            value = Fraction(math.factorial(k)) * f.term(k)
         if value is not None:
             table.legs.append((value, None))
-            continue
-        if c == 0:
-            table.legs.append((Fraction(math.factorial(k)) * base(k), None))
             continue
         if method.tag == "exact":
             table.decline = (
@@ -179,10 +171,7 @@ def _extend_table(
                 None,
             )
             return
-        series = _derivative_series(f, base, c, k)
-        if blocks is not None:
-            series = _Prescaled(series.term, series.kind, series.label, block=[next(blocks)])
-        report = evaluate(series, method)
+        report = _block_limit(*next(blocks), method)
         if not report.converged:
             table.decline = (
                 f"derivative order {k} of {f.label or f.kind} at c={c} did not "
@@ -228,30 +217,6 @@ def _derivative_blocks(
                 nums[n] *= (n - k + 1) * step
             den *= abs(p)
         yield (nums if target == orders[-1] else nums[:]), den
-
-
-def _derivative_series(
-    f: SeriesSpec, base: Callable[[int], Fraction], c: Fraction, k: int
-) -> SeriesSpec:
-    """The series a_n [n]_k c^(n-k), with a_n = base(n); each term is one
-    Fraction built from ints.  As in Fraction multiplication, a_n and
-    [n]_k c^(n-k) are cancelled against each other first, so the gcds and
-    divisions run on the factors rather than on the full products."""
-    p, q = c.numerator, c.denominator
-
-    def term(n: int) -> Fraction:
-        if n < k:
-            return Fraction(0)
-        a = base(n)
-        if not isinstance(a, (int, Fraction)):
-            raise TypeError(f"series term {a!r} is not an exact rational")
-        an, ad = a.numerator, a.denominator
-        m = n - k
-        num, den = math.perm(n, k) * p ** m, q ** m  # [n]_k c^m, unreduced
-        g1, g2 = math.gcd(an, den), math.gcd(num, ad)
-        return Fraction(an // g1 * (num // g2), ad // g2 * (den // g1))
-
-    return SeriesSpec(term, kind="custom", label=f"d^{k}[{f.label or f.kind}]@{c}")
 
 
 def _reduction_symbols(T: OperatorSpec, d: int) -> list[PowerSeries]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
@@ -78,6 +78,7 @@ class SummationMethod:
 
     tag: "classical", "cesaro", "abel", or "exact" (closed forms only).
     order: iterated-mean order k for "cesaro", or "auto" to escalate.
+    tol: positive and finite; every engine reads it from here.
     """
 
     tag: str = "cesaro"
@@ -94,6 +95,8 @@ class SummationMethod:
                 raise ValueError("iterated-mean order must be a nonnegative int or 'auto'")
         if not isinstance(self.k_max, int) or not 0 <= self.k_max <= MAX_ORDER_CAP:
             raise ValueError(f"order cap k_max must be an int in 0..{MAX_ORDER_CAP}")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tol!r}")
 
     def describe(self) -> str:
         if self.tag == "cesaro":
@@ -332,25 +335,11 @@ class _IntTerms:
 # Iterated-mean (Cesaro-type) engine
 
 
-@dataclass(frozen=True, eq=False)
-class _Prescaled(SeriesSpec):
-    """A series whose first terms also come as ints over one denominator:
-    ``block`` holds one pair (numerators, D) with a_n = numerators[n] / D.
-    The iterated-mean engine takes that list as its working array when the
-    count matches, instead of forming and scaling the terms.  It takes it
-    once, and leaves prefix sums in it; a later run reads the terms."""
-
-    block: list = field(default_factory=list)
-
-
 def _scaled_terms(a: SeriesSpec, count: int) -> tuple[list[int], int]:
-    """The first ``count`` terms as ints over one common denominator D:
-    returns (numerators, D) with a_n = numerators[n] / D exactly.  D is the
-    least one unless the series brought its own block (``_Prescaled``).
-    The term list is converted in place, so its Fractions are dropped as
-    they are scaled."""
-    if isinstance(a, _Prescaled) and a.block and len(a.block[0][0]) == count:
-        return a.block.pop()
+    """The first ``count`` terms as ints over their least common denominator
+    D: returns (numerators, D) with a_n = numerators[n] / D exactly.  The
+    term list is converted in place, so its Fractions are dropped as they
+    are scaled."""
     terms = a.terms(count)
     for t in terms:
         if not isinstance(t, (int, Fraction)):
@@ -419,20 +408,32 @@ def _checkpoint_report(
     )
 
 
-def _iterated_means(
-    sums: list[int], den: int, orders: range, N: int, tol: float, k_max: int
-) -> ConvergenceReport:
-    """The integer core of both iterated-mean entry points: the means of the
-    consecutive orders in ``orders`` over the scaled terms sums / den, with
-    every prefix pass run in place.  Returns the first converged report, or
-    else the one with the smallest residual."""
+def _mean_orders(method: SummationMethod) -> tuple[range, int]:
+    """The iterated-mean orders a classical or Cesaro method runs, and the
+    order cap its reports carry: classical is order 0 and cesaro:k is order
+    k, both under the default cap; cesaro:auto escalates through 0..k_max."""
+    if method.tag == "classical":
+        return range(1), DEFAULT_ORDER_CAP
+    if method.order == "auto":
+        return range(method.k_max + 1), method.k_max
+    return range(method.order, method.order + 1), DEFAULT_ORDER_CAP
+
+
+def _iterated_means(sums: list[int], den: int, method: SummationMethod) -> ConvergenceReport:
+    """The iterated-mean engine on the scaled terms sums[n] / den, n = 0..n_max:
+    the means of the method's orders, with every prefix pass run in place.
+    Returns the first converged report, or else the one with the smallest
+    residual."""
+    orders, cap = _mean_orders(method)
+    if method.n_max < 16:
+        raise ValueError("need at least 16 terms for the checkpoint scheme")
     for _ in range(orders.start):
         _prefix_pass(sums)
     best: ConvergenceReport | None = None
     for k in orders:
         _prefix_pass(sums)
-        method = SummationMethod("cesaro", order=k, n_max=N, tol=tol, k_max=k_max)
-        report = _checkpoint_report(sums, den, k, method)
+        used = SummationMethod("cesaro", order=k, n_max=method.n_max, tol=method.tol, k_max=cap)
+        report = _checkpoint_report(sums, den, k, used)
         if report.converged:
             return report
         if best is None or report.residual < best.residual:
@@ -451,14 +452,7 @@ def cesaro_limit(a: SeriesSpec, k: int, N: int = DEFAULT_TERMS, tol: float = DEF
     float range, which gets an infinite residual.  Terms must be ints or
     Fractions (TypeError otherwise).
     """
-    if N < 16:
-        raise ValueError("need at least 16 terms for the checkpoint scheme")
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    if k < 0:
-        raise ValueError("iterated-mean order must be nonnegative")
-    sums, den = _scaled_terms(a, N + 1)
-    return _iterated_means(sums, den, range(k, k + 1), N, tol, DEFAULT_ORDER_CAP)
+    return evaluate(a, SummationMethod("cesaro", order=k, n_max=N, tol=tol))
 
 
 def cesaro_auto(
@@ -474,12 +468,7 @@ def cesaro_auto(
     Each escalation adds one more prefix pass to the same array, so the whole
     scan costs the same as a single run at k_max.
     """
-    if not 0 <= k_max <= MAX_ORDER_CAP:
-        raise ValueError(f"order cap k_max must lie in 0..{MAX_ORDER_CAP}")
-    if N < 16:
-        raise ValueError("need at least 16 terms for the checkpoint scheme")
-    sums, den = _scaled_terms(a, N + 1)
-    return _iterated_means(sums, den, range(k_max + 1), N, tol, k_max)
+    return evaluate(a, SummationMethod("cesaro", order="auto", n_max=N, tol=tol, k_max=k_max))
 
 
 # ---------------------------------------------------------------------------
@@ -514,12 +503,26 @@ def abel_limit(
 
     Extrapolation is quadratic in h = 1 - t over a sliding window of three
     points.  Three guards end the scan early: agreement of successive
-    extrapolants well inside tol, an estimate of float cancellation noise
-    (machine epsilon times sum |a_n| t^n) crossing tol/10, beyond which
-    deeper points only add noise, and a point that would read terms past
-    index ``max_terms`` (None: no bound).  Fewer than three points give no
-    extrapolant, which is reported as not converged.
+    extrapolants well inside tol, a non-finite point sum or an estimate of
+    float cancellation noise (machine epsilon times sum |a_n| t^n) crossing
+    tol/10, beyond which deeper points only add noise, and a point that
+    would read terms past index ``max_terms`` (None: no bound).  Each a_n is
+    read as its correctly rounded float, infinite beyond the float range.
+    Fewer than three points give no extrapolant, which is reported as not
+    converged.
     """
+    return _abel_scan(lambda n: _ratio(*a.term(n).as_integer_ratio()), tol, max_terms,
+                      schedule, term_budget_per_point)
+
+
+def _abel_scan(
+    value: Callable[[int], float],
+    tol: float,
+    max_terms: int | None,
+    schedule: Sequence[float] | None = None,
+    term_budget_per_point: Callable[[float], int] | None = None,
+) -> ConvergenceReport:
+    """The power-boundary engine of ``abel_limit`` on the floats value(n)."""
     schedule = list(default_abel_schedule() if schedule is None else schedule)
     if not schedule:
         raise ValueError("empty evaluation schedule")
@@ -543,7 +546,7 @@ def abel_limit(
         if max_terms is not None and n_terms > max_terms:
             break
         while len(fvals) < n_terms + 1:
-            fvals.append(float(a.term(len(fvals))))
+            fvals.append(value(len(fvals)))
         total = 0.0
         magnitude = 0.0
         tn = 1.0
@@ -589,18 +592,23 @@ def abel_limit(
 
 
 def evaluate(a: SeriesSpec, method: SummationMethod) -> ConvergenceReport:
-    """Run the numeric method the tag names, within its term budget n_max.
-    Classical summation is the order-0 iterated mean (plain partial sums at
-    the same checkpoints)."""
-    if method.tag == "classical":
-        return cesaro_limit(a, 0, method.n_max, method.tol)
-    if method.tag == "cesaro":
-        if method.order == "auto":
-            return cesaro_auto(a, method.k_max, method.n_max, method.tol)
-        return cesaro_limit(a, method.order, method.n_max, method.tol)
+    """Run the numeric method the tag names, within its term budget n_max:
+    the power boundary, or the iterated means of ``_mean_orders`` on the
+    first n_max + 1 terms."""
     if method.tag == "abel":
         return abel_limit(a, tol=method.tol, max_terms=method.n_max)
-    raise ValueError(f"method {method.tag!r} has no numeric engine")
+    if method.tag == "exact":
+        raise ValueError(f"method {method.tag!r} has no numeric engine")
+    return _iterated_means(*_scaled_terms(a, method.n_max + 1), method)
+
+
+def _block_limit(nums: list[int], den: int, method: SummationMethod) -> ConvergenceReport:
+    """``evaluate`` on the series nums[n] / den, n = 0..n_max, read from the
+    block itself: the iterated means run their prefix passes in it, and the
+    power boundary reads its correctly rounded ratios."""
+    if method.tag == "abel":
+        return _abel_scan(lambda n: _ratio(nums[n], den), method.tol, method.n_max)
+    return _iterated_means(nums, den, method)
 
 
 def shift_check(a: SeriesSpec, method: SummationMethod) -> tuple[float, float]:

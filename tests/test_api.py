@@ -14,8 +14,8 @@ PUBLIC_NAMES = {
     "cosh_series", "exp_series", "geometric_series", "log1p_series",
     "working_order",
     # operators
-    "OperatorSpec", "op_delta", "op_diff", "op_identity", "op_power",
-    "op_scaled_sum", "op_shift", "parse_operator",
+    "OperatorSpec", "op_delta", "op_diff", "op_identity", "op_shift",
+    "parse_operator",
     # summation
     "ConvergenceReport", "NotConvergedError", "SeriesSpec", "SummationMethod",
     "abel_limit", "cauchy_product", "cesaro_auto", "cesaro_limit", "evaluate",

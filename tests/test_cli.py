@@ -250,6 +250,24 @@ def test_abel_non_finite_json_is_strict(capsys):
     assert payload["value"] is None and payload["residual"] is None
 
 
+@pytest.mark.parametrize("argv", [
+    ("abel", "--series", "geom:5"),
+    ("abel", "--series", "geom:-5"),
+])
+def test_abel_terms_beyond_float_range_exit_2(capsys, argv):
+    # 5^480 has no float: the scan ends at its first point, no traceback
+    code, out, err = run(capsys, *argv, "-o", "json")
+    assert code == 2 and err == ""
+    payload = strict_json(out)
+    assert payload["converged"] is False and payload["value"] is None
+
+
+def test_sum_abel_terms_beyond_float_range_exit_2(capsys):
+    code, out, err = run(capsys, "sum", "--series", "geom:5", "--method", "abel", "--poly", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "did not converge" in err
+
+
 def test_abel_terms_bound_the_scan(capsys):
     code, out, _ = run(capsys, "abel", "--series", "alt", "-N", "20", "-o", "json")
     payload = strict_json(out)
@@ -530,7 +548,7 @@ def test_closed_stdout_is_not_a_usage_error():
 
 
 FUZZ_POLYS = ["1", "x", "x^2 - 1/2", "3*x^3 + x", "-2/3*x^4 + 5"]
-RATIOS = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+RATIOS = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 
 
 @st.composite

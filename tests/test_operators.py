@@ -11,8 +11,6 @@ from regsum.operators import (
     op_delta,
     op_diff,
     op_identity,
-    op_power,
-    op_scaled_sum,
     op_shift,
     operator_order_for,
     parse_operator,
@@ -53,10 +51,8 @@ def test_delta_matches_translate_minus_identity():
 
 
 def test_scaled_sum_constant_term():
-    avg = op_scaled_sum([(Fraction(1, 2), op_identity()), (Fraction(1, 2), op_shift(1))])
+    avg = op_identity().scale(Fraction(1, 2)) + op_shift(1).scale(Fraction(1, 2))
     assert avg.constant == 1
-    with pytest.raises(ValueError):
-        op_scaled_sum([])
 
 
 def test_remainder_split():
@@ -64,7 +60,7 @@ def test_remainder_split():
     assert c == 1
     assert r == op_delta(Fraction(1, 2))
 
-    two_i_plus_d = op_scaled_sum([(2, op_identity()), (1, op_diff())])
+    two_i_plus_d = op_identity().scale(2) + op_diff()
     c, r = two_i_plus_d.remainder()
     assert c == 2
     assert r == op_diff()
@@ -125,10 +121,10 @@ def test_apply_to_zero():
 def test_compose_and_power():
     u = op_shift(Fraction(1, 3))
     assert u.compose(u) == op_shift(Fraction(2, 3))
-    assert op_power(u, 3) == op_shift(1)
-    assert op_power(u, 0) == op_identity()
+    assert OperatorSpec(u.symbol ** 3) == op_shift(1)
+    assert OperatorSpec(u.symbol ** 0) == op_identity()
     with pytest.raises(ValueError):
-        op_power(u, -1)
+        u.symbol ** -1
 
 
 def test_operator_arithmetic():

@@ -130,6 +130,17 @@ def test_parse_series_table_file_errors(tmp_path):
         parse_series(f"table:@{bad_entry}")
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_tolerance_must_be_positive_and_finite(tol):
+    # one check, in SummationMethod, for every engine and the method itself
+    for build in (lambda: SummationMethod("cesaro", tol=tol),
+                  lambda: cesaro_limit(ALT, 1, tol=tol),
+                  lambda: cesaro_auto(ALT, tol=tol),
+                  lambda: abel_limit(ALT, tol=tol)):
+        with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+            build()
+
+
 def test_method_validation():
     assert SummationMethod("cesaro", order=3).describe() == "cesaro:3"
     assert SummationMethod("abel").describe() == "abel"
@@ -445,6 +456,16 @@ def test_abel_non_finite_report_is_strict_json():
     d = r.to_json_dict()
     assert d["value"] is None and d["residual"] is None
     assert strict_loads(r.to_json()) == d
+
+
+@pytest.mark.parametrize("ratio", [5, -5])
+def test_abel_terms_beyond_float_range_end_the_scan(ratio):
+    # 5^480 passes the float range at the first point: the term reads as an
+    # infinity and the non-finite guard ends the scan, nothing is raised
+    r = abel_limit(series_geometric(ratio))
+    assert not r.converged and r.terms_used == 0
+    assert math.isnan(r.value) and r.residual == math.inf
+    assert strict_loads(r.to_json())["value"] is None
 
 
 def test_abel_term_budget_bounds_the_scan():
