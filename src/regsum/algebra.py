@@ -223,11 +223,12 @@ def _tokenize(text: str):
     return tokens
 
 
-def parse_polynomial(text: str) -> Polynomial:
+def parse_polynomial(text: str, max_degree: int | None = None) -> Polynomial:
     """Parse terms ``c``, ``c*x``, ``c*x^k``, ``x^k`` joined by +/-.
 
     Coefficients are integers or ``p/q``; whitespace is ignored; ``^`` is the
     only power notation and ``c*x`` the only implicit-free product form.
+    A power above ``max_degree`` (None: no cap) is refused as it is read.
     """
     tokens = _tokenize(text)
     if not tokens:
@@ -277,6 +278,8 @@ def parse_polynomial(text: str) -> Polynomial:
                 if i >= n or tokens[i][0] != "int":
                     fail("expected integer exponent after '^'", i)
                 power = int(tokens[i][1])
+                if max_degree is not None and power > max_degree:
+                    fail(f"degree {power} is above the cap {max_degree}", i)
                 i += 1
         elif not has_coeff:
             fail("expected a coefficient or 'x'", i)

@@ -3,8 +3,9 @@
 Subcommands: sum (regularized operator series against a polynomial), euler
 (zigzag integer table), cesaro / abel (raw numeric summation of a series
 literal), symbol (print an operator's series), check (named invariant
-suites).  Exit codes: 0 success, 1 argument or literal parse error, 2
-regularization or budget failure (including failed check suites).
+suites).  Exit codes: 0 success, 1 argument or literal parse error (or a
+value above its cap), 2 regularization or budget failure (including failed
+check suites).
 """
 
 from __future__ import annotations
@@ -46,6 +47,11 @@ from .regularize import (
 )
 
 ENV_TERMS = "REGSUM_TERMS"
+
+# Caps on one command's work (the README gives their costs); above one, exit 1.
+MAX_DEGREE = 400
+MAX_TERMS = 32768
+MAX_EULER = 1000
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -108,11 +114,12 @@ def _check_budget(args: argparse.Namespace) -> None:
     """Resolve the term budget (--terms, else $REGSUM_TERMS, else the
     default) into args.n_max, so the request echo shows the budget used,
     and check it and --tol."""
+    source = "--terms"
     if args.n_max is None:
-        env = os.environ.get(ENV_TERMS)
+        source, env = ENV_TERMS, os.environ.get(ENV_TERMS)
         args.n_max = _literal(int, env, ENV_TERMS) if env else DEFAULT_TERMS
-    if args.n_max < 16:
-        raise CliError("--terms: need at least 16")
+    if not 16 <= args.n_max <= MAX_TERMS:
+        raise CliError(f"{source}: need 16..{MAX_TERMS} terms, got {args.n_max}")
     if not 0 < args.tol < math.inf:
         raise CliError("--tol: must be positive and finite")
 
@@ -204,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_sum(args: argparse.Namespace) -> int:
     _check_budget(args)
-    poly = _literal(parse_polynomial, args.polynomial, "--poly")
+    poly = _literal(partial(parse_polynomial, max_degree=MAX_DEGREE), args.polynomial, "--poly")
     x = _literal(Fraction, args.x, "--x")
     order = max(16, len(poly.coeffs) + 3)
     if args.operator is not None:
@@ -249,6 +256,8 @@ def cmd_sum(args: argparse.Namespace) -> int:
 def cmd_euler(args: argparse.Namespace) -> int:
     if args.n_max < 0:
         raise CliError("n_max: must be a nonnegative integer")
+    if args.n_max > MAX_EULER:
+        raise CliError(f"n_max: {args.n_max} is above the cap {MAX_EULER}")
     table = euler_numbers(args.n_max)
     return _emit(args, [f"E_{k}: {v}" for k, v in enumerate(table.values)],
                  {"values": table.to_json_list()})

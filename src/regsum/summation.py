@@ -59,6 +59,8 @@ class SeriesSpec:
     ``term`` must be a pure function of n: ``reg_derivatives`` works out each
     numeric v_k once per (series, c, method) and keeps it, in at most 64
     tables, so a series whose terms change later gets the earlier answer.
+    A ``series_custom`` also keeps its terms a_0..a_DEFAULT_TERMS after the
+    first read, so every engine over one such object reads them once.
     """
 
     term: Callable[[int], Fraction]
@@ -213,7 +215,10 @@ def series_table(values: Sequence[RationalLike]) -> SeriesSpec:
 
 
 def series_custom(term: Callable[[int], Fraction], label: str = "custom") -> SeriesSpec:
-    return SeriesSpec(term, kind="custom", label=label)
+    """A series of the caller's terms.  a_0..a_DEFAULT_TERMS (every engine's
+    default budget) are computed once, in order, and kept while the series
+    lives, so all its readers share them; later terms are computed per read."""
+    return SeriesSpec(_memoized(term, DEFAULT_TERMS + 1), kind="custom", label=label)
 
 
 def parse_series(text: str) -> SeriesSpec:
@@ -254,12 +259,15 @@ def parse_series(text: str) -> SeriesSpec:
 # Sequence combinators
 
 
-def _memoized(term: Callable[[int], Fraction]) -> Callable[[int], Fraction]:
+def _memoized(term: Callable[[int], Fraction], bound: int) -> Callable[[int], Fraction]:
+    """term, keeping its values for n < bound; later n are not kept."""
     cache: list[Fraction] = []
 
     def cached(n: int) -> Fraction:
         if n < 0:
             raise IndexError("series index must be nonnegative")
+        if n >= bound:
+            return term(n)
         while len(cache) <= n:
             cache.append(term(len(cache)))
         return cache[n]
@@ -268,8 +276,7 @@ def _memoized(term: Callable[[int], Fraction]) -> Callable[[int], Fraction]:
 
 
 def partial_sums(a: SeriesSpec) -> SeriesSpec:
-    """The running-total sequence of a, exact, memoized for sequential use."""
-    base = _memoized(a.term)
+    """The running-total sequence of a, exact, memoized; reads each a_n once."""
     sums: list[Fraction] = []
 
     def term(n: int) -> Fraction:
@@ -278,7 +285,7 @@ def partial_sums(a: SeriesSpec) -> SeriesSpec:
         while len(sums) <= n:
             i = len(sums)
             prev = sums[-1] if sums else Fraction(0)
-            sums.append(prev + base(i))
+            sums.append(prev + a.term(i))
         return sums[n]
 
     return SeriesSpec(term, kind="custom", label=f"sums({a.label})")
@@ -291,8 +298,9 @@ def cauchy_product(a: SeriesSpec, b: SeriesSpec) -> SeriesSpec:
     The convolution runs on each factor's numerators over its running
     common denominator, so an output term costs n + 1 int products and one
     Fraction.  The triangle is still quadratic in the number of terms, so
-    results are cached per input pair and the returned series memoizes its
-    terms; repeated evaluations at increasing depth pay the triangle once.
+    results are cached per input pair and the returned series is a
+    ``series_custom``, which keeps its first terms; repeated evaluations at
+    increasing depth pay the triangle once.
     """
     ta, tb = _IntTerms(a.term), _IntTerms(b.term)
 
@@ -300,9 +308,7 @@ def cauchy_product(a: SeriesSpec, b: SeriesSpec) -> SeriesSpec:
         na, nb = ta.upto(n), tb.upto(n)
         return Fraction(sum(map(operator.mul, na[n::-1], nb)), ta.den * tb.den)
 
-    return SeriesSpec(
-        _memoized(term), kind="custom", label=f"product({a.label},{b.label})"
-    )
+    return series_custom(term, label=f"product({a.label},{b.label})")
 
 
 class _IntTerms:
@@ -619,9 +625,8 @@ def shift_check(a: SeriesSpec, method: SummationMethod) -> tuple[float, float]:
     left = evaluate(a, method)
     if not left.converged:
         raise NotConvergedError(f"left side did not converge under {method.describe()}", left)
-    base = _memoized(a.term)
-    shifted = SeriesSpec(lambda n: base(n + 1), kind="custom", label=f"shift({a.label})")
+    shifted = SeriesSpec(lambda n: a.term(n + 1), kind="custom", label=f"shift({a.label})")
     right = evaluate(shifted, method)
     if not right.converged:
         raise NotConvergedError(f"shifted side did not converge under {method.describe()}", right)
-    return left.value, float(base(0)) + right.value
+    return left.value, float(a.term(0)) + right.value

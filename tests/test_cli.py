@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from regsum.algebra import parse_polynomial
-from regsum.cli import main
+from regsum.cli import MAX_DEGREE, MAX_EULER, MAX_TERMS, main
 
 
 def run(capsys, *argv):
@@ -199,6 +199,12 @@ def test_euler_rejects_negative(capsys):
     code, _, err = run(capsys, "euler", "--", "-3")
     assert code == 1
     assert "n_max" in err
+
+
+def test_euler_rejects_a_table_above_the_cap(capsys):
+    code, out, err = run(capsys, "euler", str(MAX_EULER + 1))
+    assert (code, out) == (1, "")
+    assert "n_max" in err and str(MAX_EULER) in err
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +409,35 @@ def test_terms_env_override(capsys, monkeypatch):
     # an explicit flag beats the environment
     code, out, _ = run(capsys, "cesaro", "--series", "alt", "--k", "1", "-N", "1024")
     assert text_fields(out)["terms_used"] == "1025"
+
+
+def test_terms_above_the_cap_exit_1(capsys, monkeypatch):
+    monkeypatch.delenv("REGSUM_TERMS", raising=False)
+    code, out, _ = run(capsys, "abel", "--series", "alt", "-N", str(MAX_TERMS))
+    assert code == 0 and text_fields(out)["converged"] == "True"
+    for command in (["abel"], ["cesaro"], ["sum", "--poly", "x"]):
+        code, out, err = run(capsys, *command, "--series", "alt", "-N", str(MAX_TERMS + 1))
+        assert (code, out) == (1, ""), command
+        assert "--terms" in err and str(MAX_TERMS) in err
+
+
+@pytest.mark.parametrize("terms", [MAX_TERMS + 1, 8])
+def test_terms_env_out_of_range_exit_1(capsys, monkeypatch, terms):
+    monkeypatch.setenv("REGSUM_TERMS", str(terms))
+    code, out, err = run(capsys, "cesaro", "--series", "alt")
+    assert (code, out) == (1, "")
+    assert "REGSUM_TERMS" in err and str(MAX_TERMS) in err
+
+
+def test_poly_degree_above_the_cap_exit_1(capsys):
+    # each power is checked as it is read, before any coefficient list is built
+    code, out, _ = run(capsys, "sum", "--series", "alt",
+                       "--poly", f"x^{MAX_DEGREE} - x^{MAX_DEGREE} + 1")
+    assert code == 0 and text_fields(out)["value_exact"] == "1/2"
+    code, out, err = run(capsys, "sum", "--series", "alt",
+                         "--poly", f"1 + x^{MAX_DEGREE + 1}")
+    assert (code, out) == (1, "")
+    assert "--poly" in err and str(MAX_DEGREE) in err
 
 
 def test_terms_env_must_be_integer(capsys, monkeypatch):

@@ -32,7 +32,7 @@ from regsum.regularize import (
     reg_operator,
     reg_sum,
 )
-from regsum.regularize import _derivative_blocks
+from regsum.regularize import _derivative_blocks, _derivative_table
 from regsum.summation import (
     ConvergenceReport,
     SummationMethod,
@@ -273,11 +273,17 @@ def test_a_repeated_sum_reads_no_terms():
     reads.clear()
     assert reg_sum(f, T, P, 0, method) == first
     assert reads == []
+    # The series keeps its terms, so the tables below grow without reads.
+    table = _derivative_table(f, Fraction(1), method)
+    assert len(table.legs) == 3
     reg_sum(f, T, parse_polynomial("x^3"), 0, method)
-    assert reads, "a deeper order extends the table from the terms"
-    reads.clear()
-    reg_sum(f, T, P, 0, SummationMethod("cesaro", order="auto", n_max=400, tol=2e-3))
-    assert reads, "a method differing only in tol keys its own table"
+    assert len(table.legs) == 4, "a deeper order extends the table"
+    looser = SummationMethod("cesaro", order="auto", n_max=400, tol=2e-3)
+    reg_sum(f, T, P, 0, looser)
+    assert _derivative_table(f, Fraction(1), looser) is not table
+    assert len(_derivative_table(f, Fraction(1), looser).legs) == 3, \
+        "a method differing only in tol keys its own table"
+    assert reads == []
 
 
 @pytest.mark.parametrize("name", ["geom:-1", "altlog"])

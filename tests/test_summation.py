@@ -1,17 +1,22 @@
 """Numeric summation engines and series plumbing."""
 
+import gc
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from regsum.algebra import ParseError
+from regsum.algebra import ParseError, parse_polynomial
+from regsum.operators import op_shift
+from regsum.regularize import reg_sum
 from regsum.summation import (
     ConvergenceReport,
     NotConvergedError,
     SeriesSpec,
+    DEFAULT_TERMS,
     SummationMethod,
     abel_limit,
     cauchy_product,
@@ -180,6 +185,21 @@ def test_partial_sums_golden():
     assert sums.terms(5) == [1, 0, 1, 0, 1]
 
 
+def test_partial_sums_read_each_term_once():
+    reads = []
+
+    def term(n):
+        reads.append(n)
+        return Fraction((-1) ** n, n + 1)
+
+    sums = partial_sums(SeriesSpec(term))
+    assert [sums.term(n) for n in (5, 2, 9, 9)] == [
+        sum((Fraction((-1) ** i, i + 1) for i in range(n + 1)), Fraction(0))
+        for n in (5, 2, 9, 9)
+    ]
+    assert reads == list(range(10))
+
+
 def test_iterated_prefix_sums_match_binomial_convolution():
     # (k+1)-fold running totals of a equal sum_nu binom(nu+k,k) a(n-nu)
     a = series_custom(lambda n: Fraction((-1) ** n, n + 1))
@@ -248,6 +268,56 @@ def test_cauchy_product_refuses_float_terms():
 
 def test_cauchy_product_is_cached_per_pair():
     assert cauchy_product(ALT, ALTLOG) is cauchy_product(ALT, ALTLOG)
+
+
+# ---------------------------------------------------------------------------
+# the term memo of a custom series
+
+
+def counted(reads):
+    def term(n):
+        reads.append(n)
+        return Fraction((-1) ** n * (n * n - 3), 7)
+
+    return term
+
+
+def test_a_custom_series_computes_each_term_once():
+    reads = []
+    shared = series_custom(counted(reads), "counted")
+    got = cesaro_auto(shared), abel_limit(shared)
+    assert len(reads) <= DEFAULT_TERMS + 1
+    assert reads == list(range(len(reads)))
+    # the same reports as from the terms computed afresh on every read
+    fresh = SeriesSpec(counted([]))
+    assert got == (cesaro_auto(fresh), abel_limit(fresh))
+
+
+def test_a_custom_series_keeps_no_term_past_the_default_budget():
+    reads = []
+    s = series_custom(counted(reads), "counted")
+    for n in (DEFAULT_TERMS + 1, DEFAULT_TERMS + 1, DEFAULT_TERMS, DEFAULT_TERMS):
+        s.term(n)
+    assert reads == [DEFAULT_TERMS + 1, DEFAULT_TERMS + 1, *range(DEFAULT_TERMS + 1)]
+    with pytest.raises(IndexError):
+        s.term(-1)
+
+
+def test_a_custom_series_memo_size_after_reg_sum():
+    # 4001 kept Fractions of a few digits each, plus the derivative table
+    # whose key holds the series (README gives the same bound)
+    T, P = op_shift(1), parse_polynomial("x^3")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        f = series_custom(lambda n: Fraction((-1) ** n, n + 1), "alt-harmonic")
+        reg_sum(f, T, P, 0, SummationMethod("cesaro", order="auto"))
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < 400_000, after - before
 
 
 # ---------------------------------------------------------------------------
@@ -558,6 +628,14 @@ def test_shift_check_alt_weighted():
     assert abs(lhs - 0.25) <= 1e-3
     assert abs(rhs - 0.25) <= 1e-3
     assert abs(lhs - rhs) <= 1e-3
+
+
+def test_shift_check_reads_each_term_once():
+    reads = []
+    weighted = series_custom(lambda n: reads.append(n) or Fraction((-1) ** n * (n + 1)))
+    method = SummationMethod("cesaro", order=2)
+    assert shift_check(weighted, method) == shift_check(alt_weighted(), method)
+    assert len(reads) <= method.n_max + 2
 
 
 def test_shift_check_convergent():
