@@ -95,12 +95,11 @@ def reg_derivatives(
 ) -> RegularizedDerivatives:
     """Compute v_k = sum_n a_n [n]_k c^(n-k) for k = 0..k_max.
 
-    Routes, per k: the series' own closed-form table when it has one for
-    (k, c, method); at c = 0 the sum collapses to k! a_k exactly; otherwise
-    the numeric engine named by the method.  Terms with n < k vanish with
-    [n]_k, so no negative power of c is ever formed; for |c| < 1 the numeric
-    series decays and the order-0 mean (plain classical summation) already
-    converges, which the auto escalation finds on its own.
+    Routes, per k: the series' own closed form when it has one for
+    (k, c, method), as the geometric builtins do wherever the method sums
+    the derivative series; at c = 0 the sum collapses to k! a_k exactly;
+    otherwise the numeric engine named by the method.  Terms with n < k
+    vanish with [n]_k, so no negative power of c is ever formed.
 
     The v_k depend only on (f, c, method), so each is worked out once and
     kept in that key's table (see ``_derivative_table``); a later call

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
@@ -53,8 +53,8 @@ class SeriesSpec:
 
     ``exact_reg_deriv(k, c, method)`` optionally returns the closed-form value
     of sum_n a_n * [n]_k * c^(n-k) under the given method, or None when no
-    closed form applies at that (k, c); builtins carry one where a formula
-    exists.
+    closed form applies there; ``alt``, ``altlog`` and ``geom:r`` carry the
+    one rule of ``_geometric_rule``, ``table:`` and custom series none.
 
     ``term`` must be a pure function of n: ``reg_derivatives`` works out each
     numeric v_k once per (series, c, method) and keeps it, in at most 64
@@ -147,43 +147,42 @@ def _sig12(x: float) -> Optional[float]:
 # Built-in series
 
 
-def series_alt() -> SeriesSpec:
-    """a_n = (-1)^n, the alternating unit series."""
-
-    def term(n: int) -> Fraction:
-        return Fraction(1 if n % 2 == 0 else -1)
+def _geometric_rule(r: Fraction, lag: int = 0):
+    """``exact_reg_deriv`` of a_n = r^n (lag 0), f = 1/(1 - rt), and of its
+    integral r^(n-1)/n (lag 1): with z = rc and j = k - lag, v_k = f^(k)(c)
+    = j! r^j / (1 - z)^(j+1).  The k-th derivative series has terms of size
+    n^j z^n: it converges when |z| < 1; at z = -1 only the power boundary
+    and the iterated means of order j + 1 or more (cesaro:auto whatever its
+    numeric order cap) sum it; j < 0, z = 1 and |z| > 1 have no closed form."""
 
     def exact(k: int, c: Fraction, method: SummationMethod) -> Optional[Fraction]:
-        # Closed form only at the boundary point c = 1, where the k-th
-        # derivative series of 1/(1+t) sums to (-1)^k k!/2^(k+1) under the
-        # iterated-mean and power-boundary methods (not classically).  Every
-        # other expansion point is left to the numeric engines.
-        if c == 1 and method.tag != "classical":
-            sign = -1 if k % 2 else 1
-            return Fraction(sign * math.factorial(k), 2 ** (k + 1))
-        return None
+        j, z = k - lag, r * c
+        if j < 0 or z == 1 or abs(z) > 1:
+            return None
+        if z == -1 and (method.tag == "classical" or method.tag == "cesaro"
+                        and method.order != "auto" and method.order <= j):
+            return None
+        return math.factorial(j) * r ** j / (1 - z) ** (j + 1)
 
-    return SeriesSpec(term, kind="alt_geometric", label="alt", exact_reg_deriv=exact)
+    return exact
+
+
+def series_alt() -> SeriesSpec:
+    """a_n = (-1)^n, the alternating unit series: ``geom:-1`` by its own name."""
+    return replace(series_geometric(-1), kind="alt_geometric", label="alt")
 
 
 def series_alt_log() -> SeriesSpec:
-    """a_0 = 0, a_n = (-1)^(n+1)/n: the log(1+t) coefficient sequence."""
+    """a_0 = 0, a_n = (-1)^(n+1)/n: the log(1+t) coefficient sequence, the
+    integral of ``alt``."""
 
     def term(n: int) -> Fraction:
         if n == 0:
             return Fraction(0)
         return Fraction(1 if n % 2 == 1 else -1, n)
 
-    def exact(k: int, c: Fraction, method: SummationMethod) -> Optional[Fraction]:
-        # Closed form only at c = 1: derivatives of log(1+t) there are
-        # (-1)^(k-1) (k-1)!/2^k for k >= 1.  The k = 0 value log 2 is
-        # irrational, so it has no entry and falls back to numerics.
-        if k >= 1 and c == 1 and method.tag != "classical":
-            sign = -1 if (k - 1) % 2 else 1
-            return Fraction(sign * math.factorial(k - 1), 2 ** k)
-        return None
-
-    return SeriesSpec(term, kind="alt_log", label="altlog", exact_reg_deriv=exact)
+    return SeriesSpec(term, kind="alt_log", label="altlog",
+                      exact_reg_deriv=_geometric_rule(Fraction(-1), lag=1))
 
 
 def series_geometric(ratio: RationalLike) -> SeriesSpec:
@@ -201,7 +200,8 @@ def series_geometric(ratio: RationalLike) -> SeriesSpec:
         last[:] = n, value
         return value
 
-    return SeriesSpec(term, kind="geometric", label=f"geom:{r}")
+    return SeriesSpec(term, kind="geometric", label=f"geom:{r}",
+                      exact_reg_deriv=_geometric_rule(r))
 
 
 def series_table(values: Sequence[RationalLike]) -> SeriesSpec:

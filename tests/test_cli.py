@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from regsum.algebra import parse_polynomial
 from regsum.cli import MAX_DEGREE, MAX_EULER, MAX_TERMS, main
+from regsum.summation import parse_series
 
 
 def run(capsys, *argv):
@@ -28,6 +29,14 @@ def strict_json(text):
         raise ValueError(f"non-standard JSON constant {token}")
 
     return json.loads(text, parse_constant=refuse)
+
+
+def table_literal(tmp_path, series, count=64):
+    """A table: literal of the first terms of a series literal: the same
+    terms with no closed form, so every derivative leg is numeric."""
+    path = tmp_path / "terms.json"
+    path.write_text(json.dumps([str(t) for t in parse_series(series).terms(count)]))
+    return f"table:@{path}"
 
 
 def text_fields(out):
@@ -101,9 +110,9 @@ def test_sum_json_schema(capsys):
     assert payload["request"]["x"] == "1/2"
 
 
-def test_sum_text_and_json_agree(capsys):
-    args = ("sum", "--series", "geom:1/2", "--op", "identity", "--poly", "1",
-            "--x", "0", "--method", "classical")
+def test_sum_text_and_json_agree(capsys, tmp_path):
+    args = ("sum", "--series", table_literal(tmp_path, "geom:1/2"), "--op", "identity",
+            "--poly", "1", "--x", "0", "--method", "classical")
     code_t, out_t, _ = run(capsys, *args)
     code_j, out_j, _ = run(capsys, *args, "-o", "json")
     assert code_t == code_j == 0
@@ -116,11 +125,11 @@ def test_sum_text_and_json_agree(capsys):
     assert "value_exact" not in fields
 
 
-def test_sum_numeric_fallback_when_no_closed_form(capsys):
-    # geometric ratio 1/2 has no derivative table; the default method list
-    # falls back to the iterated means and still succeeds
-    code, out, _ = run(capsys, "sum", "--series", "geom:1/2", "--op", "identity",
-                       "--poly", "1", "--x", "0")
+def test_sum_numeric_fallback_when_no_closed_form(capsys, tmp_path):
+    # a table of geom:1/2's terms has no closed form; the default method
+    # list falls back to the iterated means and still succeeds
+    code, out, _ = run(capsys, "sum", "--series", table_literal(tmp_path, "geom:1/2"),
+                       "--op", "identity", "--poly", "1", "--x", "0")
     fields = text_fields(out)
     assert code == 0
     assert "value_exact" not in fields
@@ -128,12 +137,49 @@ def test_sum_numeric_fallback_when_no_closed_form(capsys):
     assert abs(float(fields["value_float"]) - 2.0) <= 1e-3
 
 
-def test_sum_exact_method_fails_fast(capsys):
-    code, out, err = run(capsys, "sum", "--series", "geom:1/2", "--method", "exact",
-                         "--poly", "x", "--x", "0")
+def test_sum_exact_method_fails_fast(capsys, tmp_path):
+    code, out, err = run(capsys, "sum", "--series", table_literal(tmp_path, "geom:1/2"),
+                         "--method", "exact", "--poly", "x", "--x", "0")
     assert code == 2
     assert out == ""
     assert "no closed form" in err
+
+
+def test_sum_geometric_family_shares_one_closed_form(capsys):
+    # alt is geom:-1, and the closed forms hold inside the radius and under
+    # every method that sums the derivative series
+    for series in ("alt", "geom:-1"):
+        code, out, _ = run(capsys, "sum", "--series", series, "--poly", "x^5", "--x", "1/3")
+        assert code == 0
+        assert text_fields(out)["value_exact"] == "-121/972"
+    code, out, _ = run(capsys, "sum", "--series", "geom:1/2", "--method", "exact",
+                       "--poly", "x^2")
+    assert code == 0
+    assert text_fields(out)["value_exact"] == "6/1"
+    code, out, _ = run(capsys, "sum", "--series", "geom:2/3", "--poly", "1",
+                       "--method", "abel")
+    assert code == 0
+    assert text_fields(out)["value_exact"] == "3/1"
+
+
+def test_sum_fixed_order_means_need_the_order_of_each_leg(capsys):
+    # at c = 1 the k-th derivative series of alt needs a mean of order k + 1:
+    # order 0 (classical or cesaro:0) sums none of them, cesaro:1 only v_0
+    for method in ("classical", "cesaro:0"):
+        code, out, err = run(capsys, "sum", "--series", "alt", "--method", method,
+                             "--poly", "1")
+        assert (code, out) == (2, "")
+        assert f"derivative order 0 of alt at c=1 did not converge under {method}" in err
+    code, out, err = run(capsys, "sum", "--series", "alt", "--method", "cesaro:1",
+                         "--poly", "x^2")
+    assert (code, out) == (2, "")
+    assert "derivative order 1 of alt at c=1 did not converge under cesaro:1" in err
+    code, out, _ = run(capsys, "sum", "--series", "alt", "--method", "cesaro:3",
+                       "--poly", "x^2")
+    fields = text_fields(out)
+    assert code == 0
+    assert fields["value_exact"] == "0/1"
+    assert fields["provenance"] == "exact-closed-form"
 
 
 def test_sum_parse_errors_name_the_argument(capsys):
@@ -344,7 +390,9 @@ def test_sum_exact_value_beyond_float_range(capsys, output):
 
 @pytest.mark.parametrize("series", ["altlog", "geom:1/2"])
 @pytest.mark.parametrize("output", ["text", "json"])
-def test_sum_numeric_value_beyond_float_range_exits_2(capsys, series, output):
+def test_sum_numeric_value_beyond_float_range_exits_2(capsys, tmp_path, series, output):
+    if series.startswith("geom:"):  # exact where it converges; its terms stay numeric
+        series = table_literal(tmp_path, series)
     code, out, err = run(capsys, "sum", "--series", series, "--poly",
                          f"{BIG_CONSTANT}*x + 1", "-o", output)
     assert code == 2

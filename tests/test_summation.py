@@ -82,12 +82,17 @@ def test_geometric_terms_in_any_access_order():
             assert scattered.term(n) == r ** n
 
 
+# alt is geom:-1 and altlog its integral: one geometric rule gives both their
+# closed forms, at the boundary point c = 1 and inside the radius.
 def test_alt_closed_form_gate():
     method = SummationMethod("cesaro")
     assert ALT.exact_reg_deriv(0, Fraction(1), method) == Fraction(1, 2)
     assert ALT.exact_reg_deriv(3, Fraction(1), method) == Fraction(-6, 16)
-    # no closed form away from the boundary point, or for plain convergence
-    assert ALT.exact_reg_deriv(0, Fraction(1, 2), method) is None
+    assert ALT.exact_reg_deriv(0, Fraction(1, 2), method) == Fraction(2, 3)
+    # no closed form where the series diverges, or for plain convergence at
+    # the boundary point
+    assert ALT.exact_reg_deriv(0, Fraction(-1), method) is None
+    assert ALT.exact_reg_deriv(0, Fraction(2), method) is None
     assert ALT.exact_reg_deriv(0, Fraction(1), SummationMethod("classical")) is None
 
 
@@ -99,6 +104,66 @@ def test_altlog_closed_form_gate():
     # order zero would be log 2, which has no rational value
     assert ALTLOG.exact_reg_deriv(0, Fraction(1), method) is None
     assert ALTLOG.exact_reg_deriv(1, Fraction(2), method) is None
+
+
+# (r, lag, c): a_n = r^n (lag 0) or r^(n-1)/n (lag 1, the altlog series),
+# at points with |rc| < 1 or rc = -1.
+GEOMETRIC_RULE_CASES = [
+    (Fraction(-1), 0, Fraction(1, 2)),
+    (Fraction(-1), 0, Fraction(-1, 3)),
+    (Fraction(-1), 0, Fraction(1)),
+    (Fraction(-1), 1, Fraction(1, 2)),
+    (Fraction(-1), 1, Fraction(1)),
+    (Fraction(1, 2), 0, Fraction(1)),
+    (Fraction(1, 2), 0, Fraction(-2)),
+    (Fraction(-3, 2), 0, Fraction(1, 3)),
+    (Fraction(-3, 2), 0, Fraction(2, 3)),
+    (Fraction(2, 3), 0, Fraction(1)),
+    (Fraction(2, 3), 0, Fraction(-3, 2)),
+    (Fraction(0), 0, Fraction(1)),
+    (Fraction(0), 0, Fraction(5)),
+]
+
+
+@pytest.mark.parametrize("r, lag, c", GEOMETRIC_RULE_CASES,
+                         ids=[f"r={r}-lag={lag}-c={c}" for r, lag, c in GEOMETRIC_RULE_CASES])
+def test_geometric_rule_matches_both_engines(r, lag, c):
+    # Every closed form of the rule against both numeric engines on the
+    # derivative series a_n [n]_k c^(n-k) built from Fraction terms.  At
+    # rc = -1 that series is r^j times the j-th one of alt, whose iterated
+    # means settle slowly (about v_j / N off; from j = 3 on they may miss
+    # tol); as in criterion 2 their estimate's deviation is checked there,
+    # in units of r^j.
+    f = series_alt_log() if lag else series_geometric(r)
+    hook = f.exact_reg_deriv
+    for k in range(5):
+        value = hook(k, c, SummationMethod("cesaro"))
+        if k < lag:
+            assert value is None
+            continue
+        j = k - lag
+        reference = series_custom(
+            lambda n, k=k: Fraction(0) if n < k
+            else f.term(n) * falling_factorial_value(n, k) * c ** (n - k))
+        report = cesaro_auto(reference, N=4000)
+        assert report.converged or r * c == -1, (k, report)
+        assert abs(report.value - value) <= 1e-3 * max(1, abs(r) ** j), (k, report)
+        report = abel_limit(reference, max_terms=4000)
+        if report.converged:
+            assert abs(report.value - value) <= 1e-3, (k, report)
+        assert hook(k, c, SummationMethod("abel")) == value
+        assert hook(k, c, SummationMethod("exact")) == value
+        # at rc = -1 the k-th series needs a mean of order j + 1
+        fixed = [SummationMethod("classical")] + [SummationMethod("cesaro", order=m)
+                                                  for m in range(j + 2)]
+        gated = [hook(k, c, m) for m in fixed]
+        if r * c == -1:
+            assert gated == [None] * (j + 2) + [value], k
+        else:
+            assert gated == [value] * (j + 3), k
+    if r:
+        for outside in (1 / r, 2 / r, -2 / r):  # rc = 1 and |rc| > 1
+            assert all(hook(k, outside, SummationMethod("abel")) is None for k in range(5))
 
 
 def test_parse_series_forms(tmp_path):
