@@ -36,6 +36,15 @@ class ParseError(ValueError):
         self.position = position
 
 
+# The integer Horner form of the last polynomial evaluated:
+# (coeffs, A_d..A_0, L) with coeffs[i] = A_i / L.  It is keyed by the
+# identity of the coeffs tuple and holds that tuple, so the id cannot be
+# reused while the entry stands; it is replaced by one assignment, so a
+# reader sees a whole entry.  One entry, not one per polynomial, keeps memory
+# flat however many polynomials a caller holds.
+_last_form: tuple = ((), (), 1)
+
+
 class Polynomial:
     """Dense polynomial in one variable over exact rationals.
 
@@ -91,18 +100,27 @@ class Polynomial:
         With the coefficients written as A_i / L over their common
         denominator L and x = p/q, the value is
         (sum_i A_i p^i q^(d-i)) / (L q^d); one Fraction is built at the end.
+        The A_i and L of the last polynomial evaluated are kept (see
+        ``_last_form``), so evaluating one polynomial at many points builds
+        them once.
         """
+        global _last_form
         p, q = as_rational(x).as_integer_ratio()
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return Fraction(0)
-        pairs = [c.as_integer_ratio() for c in self.coeffs]
-        den = math.lcm(*[d for _, d in pairs])
-        a, d = pairs[-1]
-        acc = a * (den // d)
+        key, scaled, den = _last_form
+        if key is not coeffs:
+            pairs = [c.as_integer_ratio() for c in coeffs]
+            den = math.lcm(*[d for _, d in pairs])
+            scaled = tuple([a * (den // d) for a, d in reversed(pairs)])
+            _last_form = (coeffs, scaled, den)
+        terms = iter(scaled)
+        acc = next(terms)
         q_power = 1
-        for a, d in pairs[-2::-1]:
+        for a in terms:
             q_power *= q
-            acc = acc * p + a * (den // d) * q_power
+            acc = acc * p + a * q_power
         return Fraction(acc, den * q_power)
 
     def __eq__(self, other: object) -> bool:

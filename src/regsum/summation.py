@@ -291,7 +291,7 @@ def partial_sums(a: SeriesSpec) -> SeriesSpec:
     return SeriesSpec(term, kind="custom", label=f"sums({a.label})")
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=4)
 def cauchy_product(a: SeriesSpec, b: SeriesSpec) -> SeriesSpec:
     """Coefficientwise product series: c_n = sum_i a_(n-i) b_i, exact.
 
@@ -301,6 +301,13 @@ def cauchy_product(a: SeriesSpec, b: SeriesSpec) -> SeriesSpec:
     results are cached per input pair and the returned series is a
     ``series_custom``, which keeps its first terms; repeated evaluations at
     increasing depth pay the triangle once.
+
+    The cache keeps the last 4 pairs.  An entry retains the product's terms
+    and both factors' numerators.  When term sizes grow at most linearly in
+    n, as for the built-in series, that is at most quadratic in the terms
+    read: ``altlog`` x ``alt`` retains 0.18 MB through n = 500 and 6.8 MB
+    through n = 4000.  For factors of that size a full cache holds under
+    48 MB (4 x (4000/500)^2 x 0.18 MB); factors with longer terms retain more.
     """
     ta, tb = _IntTerms(a.term), _IntTerms(b.term)
 
@@ -345,26 +352,30 @@ def _scaled_terms(a: SeriesSpec, count: int) -> tuple[list[int], int]:
     """The first ``count`` terms as ints over their least common denominator
     D: returns (numerators, D) with a_n = numerators[n] / D exactly.  The
     term list is converted in place, so its Fractions are dropped as they
-    are scaled."""
+    are read; each term's ratio is read once."""
     terms = a.terms(count)
-    for t in terms:
+    dens = [1] * count
+    for i, t in enumerate(terms):
+        # Floats have as_integer_ratio too, so the type is checked first.
         if not isinstance(t, (int, Fraction)):
             raise TypeError(f"series term {t!r} is not an exact rational")
+        terms[i], dens[i] = t.as_integer_ratio()
     # Distinct denominators in term order: successive lcm steps then mostly
     # meet a multiple of the running lcm, which keeps each gcd cheap.
-    den = math.lcm(*dict.fromkeys(t.denominator for t in terms))
+    den = math.lcm(*dict.fromkeys(dens))
     # Scale factors den // d, walked backwards: when d divides the following
     # term's denominator (as in geometric-like sequences) the factor follows
     # from that term's by a small multiplication instead of a long division.
+    # Each denominator is popped as its numerator grows, so the two lists
+    # never peak together.
     factor, following = 1, den
     for i in range(count - 1, -1, -1):
-        t = terms[i]
-        d = t.denominator
+        d = dens.pop()
         if d != following:
             quotient, rest = divmod(following, d)
             factor = factor * quotient if rest == 0 else den // d
             following = d
-        terms[i] = t.numerator * factor
+        terms[i] *= factor
     return terms, den
 
 

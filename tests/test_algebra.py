@@ -1,5 +1,10 @@
 """Polynomial arithmetic, parsing, and formatting."""
 
+import gc
+import random
+import sys
+import threading
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -52,7 +57,9 @@ def test_zero_polynomial():
     assert z.is_zero
     assert z.degree == NEG_INFINITY
     assert Polynomial([0, 0]).is_zero
-    assert z(Fraction(7, 3)) == 0
+    Polynomial([5, Fraction(1, 6)])(2)  # a kept form the zero polynomial must not read
+    value = z(Fraction(7, 3))
+    assert type(value) is Fraction and value == 0
 
 
 def test_constructors():
@@ -216,3 +223,111 @@ def test_evaluation_matches_fraction_horner(p, x):
     assert type(value) is Fraction
     assert (value.numerator, value.denominator) == (expect.numerator, expect.denominator)
     assert p(str(Fraction(x))) == expect
+
+
+# ---------------------------------------------------------------------------
+# the kept integer form of the last polynomial evaluated
+
+
+def assert_same(value, expect):
+    assert type(value) is Fraction
+    assert (value.numerator, value.denominator) == (expect.numerator, expect.denominator)
+
+
+@given(st.lists(st.lists(wide_rationals, min_size=0, max_size=8).map(Polynomial),
+                min_size=2, max_size=4),
+       st.lists(st.tuples(st.integers(0, 3), wide_rationals), min_size=1, max_size=16))
+def test_interleaved_evaluations_match_fraction_horner(ps, calls):
+    # Switching between polynomials, and back, must never read another
+    # polynomial's kept form.
+    for index, x in calls:
+        p = ps[index % len(ps)]
+        assert_same(p(x), fraction_horner(p, x))
+
+
+def test_equal_but_distinct_coefficient_tuples():
+    p = Polynomial([Fraction(1, 3), 2, Fraction(-5, 7)])
+    q = Polynomial(list(p.coeffs))
+    assert p.coeffs == q.coeffs and p.coeffs is not q.coeffs
+    x = Fraction(4, 9)
+    for poly in (p, q, q, p, p, q):
+        assert_same(poly(x), fraction_horner(p, x))
+
+
+def test_a_new_polynomial_never_reads_a_dropped_ones_form():
+    # Each loop drops the previous polynomial, whose coefficient tuple's
+    # memory a new tuple of the same length would reuse if nothing held it.
+    x = Fraction(2, 7)
+    for i in range(50):
+        p = Polynomial([i, 1, Fraction(1, i + 2)])
+        assert_same(p(x), fraction_horner(p, x))
+
+
+def test_reassigned_coefficients_are_evaluated_afresh():
+    p = Polynomial([1, 2, 3])
+    x = Fraction(-3, 2)
+    assert p(x) == fraction_horner(p, x)
+    p.coeffs = (Fraction(1, 2), Fraction(0), Fraction(-7, 3))
+    assert_same(p(x), fraction_horner(p, x))
+    p.coeffs = ()
+    assert_same(p(x), Fraction(0))
+
+
+def test_float_point_refused_after_a_kept_form():
+    p = Polynomial([1, Fraction(1, 2), 3])
+    p(1)
+    p(Fraction(2, 5))
+    with pytest.raises(TypeError):
+        p(0.5)
+    with pytest.raises(TypeError):
+        Polynomial()(0.5)
+
+
+def test_threads_never_read_each_others_form():
+    # Every thread shares the one entry.  It is read and replaced whole, so
+    # a thread switch anywhere in an evaluation cannot mix two forms.
+    polys = [Polynomial([Fraction(i + k, k + 2) for k in range(6)]) for i in range(6)]
+    xs = [Fraction(n, 7) for n in range(-30, 30)]
+    expect = [[fraction_horner(p, x) for x in xs] for p in polys]
+    wrong = []
+
+    def work(i):
+        for _ in range(40):
+            for x, e in zip(xs, expect[i]):
+                if polys[i](x) != e:
+                    wrong.append((i, x))
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(polys))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def test_evaluation_keeps_one_form():
+    # 2,000 distinct degree-40 polynomials, each evaluated and then dropped:
+    # only the last one's integer form may stay behind.
+    rng = random.Random(11)
+    polys = [Polynomial([Fraction(rng.randint(-99, 99), rng.randint(1, 60))
+                         for _ in range(41)]) for _ in range(2000)]
+    x = Fraction(-5, 3)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for p in polys:
+            p(x)
+            p(x + 1)
+        del polys, p
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < 64 * 1024, after - before

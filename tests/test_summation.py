@@ -335,6 +335,24 @@ def test_cauchy_product_is_cached_per_pair():
     assert cauchy_product(ALT, ALTLOG) is cauchy_product(ALT, ALTLOG)
 
 
+def test_cauchy_product_cache_stays_under_its_stated_bound():
+    # The docstring's bound for a full cache: maxsize entries of an altlog x
+    # alt product, each grown at most quadratically from n = 500 to 4000.
+    a, b = series_alt_log(), series_alt()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        cauchy_product(a, b).term(500)
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    retained = after - before
+    assert retained > 0
+    assert cauchy_product.cache_info().maxsize * retained * (4000 / 500) ** 2 < 48e6, retained
+
+
 # ---------------------------------------------------------------------------
 # the term memo of a custom series
 
