@@ -310,11 +310,23 @@ def parse_polynomial(text: str, max_degree: int | None = None) -> Polynomial:
     return Polynomial(out)
 
 
+def _decimal(n: int) -> str:
+    """str(n) for an int of any size.  str() refuses ints longer than
+    sys.get_int_max_str_digits() (4300 digits by default), so a longer one
+    is split at a power of ten near half its digits."""
+    try:
+        return str(n)
+    except ValueError:
+        k = n.bit_length() * 3 // 20  # about half its decimal digits
+        high, low = divmod(abs(n), 10 ** k)
+        return ("-" if n < 0 else "") + _decimal(high) + _decimal(low).zfill(k)
+
+
 def format_rational(q: Fraction) -> str:
-    """Lowest-terms text: ``p/q``, or just ``p`` for integers."""
+    """Lowest-terms text: ``p/q``, or just ``p`` for integers, of any size."""
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return _decimal(q.numerator)
+    return f"{_decimal(q.numerator)}/{_decimal(q.denominator)}"
 
 
 def format_polynomial(p: Polynomial) -> str:

@@ -13,12 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import ParseError, Polynomial, RationalLike, as_rational
-from .power_series import (
-    OrderExceededError,
-    PowerSeries,
-    exp_series,
-    working_order,
-)
+from .power_series import OrderExceededError, PowerSeries, exp_series
 
 DEFAULT_SYMBOL_ORDER = 16
 
@@ -112,19 +107,6 @@ def op_delta(h: RationalLike, order: int = DEFAULT_SYMBOL_ORDER) -> OperatorSpec
     return OperatorSpec(sym, f"delta:{h}")
 
 
-def symbol_coefficient_probe(op: OperatorSpec, n: int) -> Fraction:
-    """Recover symbol coefficient n extensionally: apply to x^n, read at 0, /n!.
-
-    Independent of the stored list; used to cross-check symbol storage.
-    """
-    image = op.apply(Polynomial.monomial(n))
-    value = image(0)
-    fact = 1
-    for i in range(2, n + 1):
-        fact *= i
-    return value / fact
-
-
 def parse_operator(text: str, order: int | None = None) -> OperatorSpec:
     """Parse an operator literal.
 
@@ -161,9 +143,3 @@ def _parse_rational(s: str, context: str) -> Fraction:
         return Fraction(s.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational {s!r} in {context!r}: {exc}", context.find(s)) from None
-
-
-def operator_order_for(p: Polynomial, extra: int = 0) -> int:
-    """Symbol order deep enough to act on p (with the default padding)."""
-    deg = len(p.coeffs) - 1 if p.coeffs else 0
-    return working_order(deg + extra)

@@ -158,6 +158,10 @@ def test_parse_rejects_malformed(bad):
 def test_format_rational():
     assert format_rational(Fraction(3)) == "3"
     assert format_rational(Fraction(-1, 2)) == "-1/2"
+    # past str()'s default limit of 4300 digits
+    q = Fraction(-(10 ** 5000 - 1), 10 ** 6000 + 1)
+    assert format_rational(q) == "-" + "9" * 5000 + "/1" + "0" * 5999 + "1"
+    assert format_rational(Fraction(10 ** 9000)) == "1" + "0" * 9000
 
 
 def test_format_golden():

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,9 +13,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from regsum import checks
 from regsum.algebra import parse_polynomial
-from regsum.cli import MAX_DEGREE, MAX_EULER, MAX_TERMS, main
-from regsum.summation import parse_series
+from regsum.cli import MAX_DEGREE, MAX_EULER, MAX_ORDER, MAX_TERMS, main
+from regsum.operators import OperatorSpec, op_shift
+from regsum.regularize import reg_sum
+from regsum.summation import SummationMethod, parse_series, series_alt
 
 
 def run(capsys, *argv):
@@ -37,6 +41,17 @@ def table_literal(tmp_path, series, count=64):
     path = tmp_path / "terms.json"
     path.write_text(json.dumps([str(t) for t in parse_series(series).terms(count)]))
     return f"table:@{path}"
+
+
+def decimal_int(text):
+    """int(text) for a digit string of any length, read 1000 digits at a
+    time: int() refuses more than sys.get_int_max_str_digits() digits."""
+    digits = text.lstrip("-")
+    value = 0
+    for i in range(0, len(digits), 1000):
+        chunk = digits[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return -value if text.startswith("-") else value
 
 
 def text_fields(out):
@@ -388,6 +403,21 @@ def test_sum_exact_value_beyond_float_range(capsys, output):
         assert fields["value_float"] == "None"
 
 
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_sum_prints_an_exact_value_of_any_size(capsys, output):
+    # x^40 at 10^120: about 4,800 digits, past str()'s default 4,300
+    x = 10 ** 120
+    code, out, err = run(capsys, "sum", "--series", "alt", "--poly", "x^40",
+                         "--x", str(x), "-o", output)
+    assert (code, err) == (0, "")
+    exact = strict_json(out)["value_exact"] if output == "json" else text_fields(out)["value_exact"]
+    num, den = exact.split("/")
+    assert len(num) > 4300
+    expected, _ = reg_sum(series_alt(), op_shift(1, order=43), parse_polynomial("x^40"),
+                          Fraction(x), SummationMethod("exact"))
+    assert Fraction(decimal_int(num), decimal_int(den)) == expected
+
+
 @pytest.mark.parametrize("series", ["altlog", "geom:1/2"])
 @pytest.mark.parametrize("output", ["text", "json"])
 def test_sum_numeric_value_beyond_float_range_exits_2(capsys, tmp_path, series, output):
@@ -516,12 +546,27 @@ def test_symbol_json_respects_order(capsys):
     ("shift:1", "--order", "-1"),
     ("symbol:[1,2]", "--order", "-2"),
     ("diff", "--order", "0"),
+    ("shift:1", "--order", str(MAX_ORDER + 1)),
 ])
 def test_symbol_order_validation(capsys, argv):
     code, out, err = run(capsys, "symbol", *argv)
     assert code == 1
     assert out == ""
     assert err.startswith("error: --order:")
+
+
+@pytest.mark.parametrize("output", ["text", "json"])
+def test_symbol_prints_coefficients_of_any_size(capsys, output):
+    # 1/1600! has 4,437 digits, past str()'s default 4,300
+    code, out, err = run(capsys, "symbol", "shift:1", "--order", "1600", "-o", output)
+    assert (code, err) == (0, "")
+    if output == "json":
+        last = strict_json(out)["coefficients"][1600]
+    else:
+        assert out.rstrip().endswith("*t^1600 + O(t^1601)")
+        last = out.split(" + ")[-2].removesuffix("*t^1600")
+    one, den = last.split("/")
+    assert one == "1" and decimal_int(den) == math.factorial(1600)
 
 
 def test_symbol_bad_literal(capsys):
@@ -547,6 +592,56 @@ def test_check_product_rule_passes(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["passed"] is True
+
+
+@pytest.mark.parametrize("seed", [1, 11, 35])
+def test_check_three_way_numeric_leg_settles_on_criterion_3_budget(capsys, seed):
+    code, out, _ = run(capsys, "check", "three-way", "--seed", str(seed))
+    assert code == 0, out
+
+
+# suite -> (owner, attribute, breaking wrapper of the real one, a line of its log)
+BROKEN = {
+    "functional-equation": (checks, "reg_operator",
+                            lambda real: lambda *args: real(*args).scale(2),
+                            "functional-equation trial 0: residue "),
+    "product-rule": (checks, "product_rule_check",
+                     lambda real: lambda *args: (0.0, 1.0),
+                     "product-rule n=0: lhs=0 rhs=1 FAIL"),
+    "shift-invariance": (checks, "shift_check",
+                         lambda real: lambda *args: (0.0, 1.0),
+                         "shift-invariance alt: lhs=0 rhs=1 FAIL"),
+    "operator-ring": (OperatorSpec, "remainder",
+                      lambda real: lambda self: (self.constant, self),
+                      ": remainder not nilpotent"),
+    "three-way": (checks, "euler_alt_sum",
+                  lambda real: lambda *args: real(*args) + 1,
+                  "three-way trial 0: exact_eq=False "),
+}
+
+
+@pytest.mark.parametrize("suite", list(BROKEN))
+def test_check_reports_a_broken_invariant(capsys, monkeypatch, suite):
+    owner, name, breaking, failing = BROKEN[suite]
+    monkeypatch.setattr(owner, name, breaking(getattr(owner, name)))
+
+    code, out, _ = run(capsys, "check", suite)
+    assert code == 2
+    assert out.rstrip().endswith(f"suite {suite}: FAIL")
+    assert failing in out
+
+    code, out, _ = run(capsys, "check", suite, "-o", "json")
+    payload = strict_json(out)
+    assert code == 2 and payload["passed"] is False
+    assert any(failing in line for line in payload["log"])
+
+
+def test_only_check_loads_the_suites():
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import regsum.cli, sys; print('regsum.checks' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 def test_check_unknown_suite(capsys):
