@@ -40,6 +40,7 @@ from .operators import (
 )
 from .summation import (
     ConvergenceReport,
+    LogValue,
     NotConvergedError,
     SeriesSpec,
     SummationMethod,
@@ -84,7 +85,7 @@ __all__ = [
     "working_order",
     "OperatorSpec", "op_delta", "op_diff", "op_identity", "op_shift",
     "parse_operator",
-    "ConvergenceReport", "NotConvergedError", "SeriesSpec", "SummationMethod",
+    "ConvergenceReport", "LogValue", "NotConvergedError", "SeriesSpec", "SummationMethod",
     "abel_limit", "cauchy_product", "cesaro_auto", "cesaro_limit", "evaluate",
     "falling_factorial_value", "parse_series", "partial_sums", "series_alt",
     "series_alt_log",

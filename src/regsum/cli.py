@@ -23,6 +23,7 @@ from .algebra import ParseError, _decimal, parse_polynomial
 from .operators import op_shift, parse_operator
 from .summation import (
     DEFAULT_TERMS,
+    LogValue,
     NotConvergedError,
     SummationMethod,
     _sig12,
@@ -45,6 +46,10 @@ MAX_DEGREE = 400
 MAX_TERMS = 32768
 MAX_EULER = 1000
 MAX_ORDER = 2000
+# order x (bits of a shift:/delta: step's numerator + denominator): the
+# symbol holds h^n/n! exactly, so its size grows with both.  The cap is
+# shift:97/89 (7 + 7 bits) at the order cap.
+MAX_STEP_WORK = MAX_ORDER * 14
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -111,6 +116,23 @@ def _check_budget(args: argparse.Namespace) -> None:
         raise CliError(f"{source}: need 16..{MAX_TERMS} terms, got {args.n_max}")
     if not 0 < args.tol < math.inf:
         raise CliError("--tol: must be positive and finite")
+
+
+def _check_step(text: str, order: int, flag: str) -> None:
+    """Exit 1 when the step of a ``shift:h``/``delta:h`` literal, or a bare
+    --h step, is above MAX_STEP_WORK at this symbol order.  Other literals,
+    and malformed steps, pass on to their parser."""
+    text = text.strip()
+    if text.startswith(("shift:", "delta:")):
+        text = text[6:]
+    try:
+        h = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return
+    bits = h.numerator.bit_length() + h.denominator.bit_length()
+    if order * bits > MAX_STEP_WORK:
+        raise CliError(f"{flag}: order {order} x {bits} step bits is above the cap "
+                       f"{MAX_STEP_WORK}")
 
 
 def _field_lines(fields: dict) -> list[str]:
@@ -204,9 +226,13 @@ def cmd_sum(args: argparse.Namespace) -> int:
     x = _literal(Fraction, args.x, "--x")
     order = max(16, len(poly.coeffs) + 3)
     if args.operator is not None:
+        _check_step(args.operator, order, "--op")
         op = _literal(partial(parse_operator, order=order), args.operator, "--op")
     else:
-        h = _literal(Fraction, args.h, "--h") if args.h is not None else Fraction(1)
+        h = Fraction(1)
+        if args.h is not None:
+            h = _literal(Fraction, args.h, "--h")
+            _check_step(args.h, order, "--h")
         op = op_shift(h, order=order)
     series = _literal(parse_series, args.series, "--series")
 
@@ -223,6 +249,7 @@ def cmd_sum(args: argparse.Namespace) -> int:
                 raise
 
     exact = _rat(value) if isinstance(value, Fraction) else None
+    closed = str(value) if isinstance(value, LogValue) else None
     shared = {
         "method": report.method_used.describe(),
         "order_used": report.order_used,
@@ -232,9 +259,12 @@ def cmd_sum(args: argparse.Namespace) -> int:
     text = {"value_float": f"{report.value:.12g}" if math.isfinite(report.value) else None}
     if exact is not None:
         text["value_exact"] = exact
+    if closed is not None:
+        text["value_closed"] = closed
     text.update(shared, converged=str(report.converged).lower())
     return _emit(args, _field_lines(text), {
         "value_exact": exact,
+        "value_closed": closed,
         "value_float": _sig12(report.value),
         **shared,
         "converged": report.converged,
@@ -280,6 +310,7 @@ def cmd_symbol(args: argparse.Namespace) -> int:
         raise CliError(f"--order: must be nonnegative, got {order}")
     if order > MAX_ORDER:
         raise CliError(f"--order: {order} is above the cap {MAX_ORDER}")
+    _check_step(args.operator, order, "operator")
     # The literal is read first, so what fails after it is the order's
     # (diff needs t^1).
     _literal(parse_operator, args.operator, "operator")

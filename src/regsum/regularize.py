@@ -15,9 +15,9 @@ each other.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Optional, Union
 
 from .algebra import Polynomial, RationalLike, as_rational
@@ -25,6 +25,7 @@ from .operators import OperatorSpec
 from .power_series import OrderExceededError, PowerSeries, cosh_series
 from .summation import (
     ConvergenceReport,
+    LogValue,
     SeriesSpec,
     SummationMethod,
     _block_limit,
@@ -53,11 +54,12 @@ class InexactDataError(TypeError):
 @dataclass
 class RegularizedDerivatives:
     """Derivative values v_k of a series' generating function at a point c,
-    in the regularized sense, for k = 0..k_max; exact entries are Fraction,
-    numeric ones float, with per-entry provenance strings."""
+    in the regularized sense, for k = 0..k_max; exact entries are Fraction
+    or, for a logarithm, ``LogValue``, numeric ones float, with per-entry
+    provenance strings.  ``is_exact`` means every entry is rational."""
 
     c: Fraction
-    values: list[Union[Fraction, float]]
+    values: list[Union[Fraction, LogValue, float]]
     provenance: list[str]
     method: SummationMethod
     reports: list[Optional[ConvergenceReport]]
@@ -130,18 +132,30 @@ class _DerivativeTable:
     the (message, report) of its NotRegularError, after which the table
     never grows."""
 
-    legs: list[tuple[Union[Fraction, float], Optional[ConvergenceReport]]] = field(
+    legs: list[tuple[Union[Fraction, LogValue, float], Optional[ConvergenceReport]]] = field(
         default_factory=list
     )
     decline: Optional[tuple[str, Optional[ConvergenceReport]]] = None
 
 
-@lru_cache(maxsize=64)
+# series -> {(c, method): table}, least recently used first.  The series is
+# held weakly, so its tables go with it.
+_TABLES: "weakref.WeakKeyDictionary[SeriesSpec, dict]" = weakref.WeakKeyDictionary()
+_TABLES_PER_SERIES = 64
+
+
 def _derivative_table(f: SeriesSpec, c: Fraction, method: SummationMethod) -> _DerivativeTable:
-    """The one table of (f, c, method), empty when first asked for.  The key
-    holds the series, as ``cauchy_product``'s does; the table holds only the
-    per-order results, so the cache stays small."""
-    return _DerivativeTable()
+    """The one table of (f, c, method), empty when first asked for.  A series
+    keeps its 64 most recently used tables for as long as it lives; a table
+    holds only the per-order results, never the terms."""
+    tables = _TABLES.setdefault(f, {})
+    table = tables.pop((c, method), None)
+    if table is None:
+        table = _DerivativeTable()
+        if len(tables) >= _TABLES_PER_SERIES:
+            del tables[next(iter(tables))]
+    tables[c, method] = table
+    return table
 
 
 def _extend_table(
@@ -258,17 +272,17 @@ def reg_operator(
 
     The symbol is exact through t^degree_cap and truncated there, so it
     refuses (OrderExceededError) polynomials of higher degree.  Numeric
-    float entries cannot enter the exact symbol ring; when any needed v_k
-    is not a Fraction this raises InexactDataError (evaluate through
-    reg_sum instead, which combines floats scalar-wise).
+    float entries and logarithms cannot enter the exact symbol ring; when
+    any needed v_k is not a Fraction this raises InexactDataError (evaluate
+    through reg_sum instead, which combines them scalar-wise).
     """
     if degree_cap < 0:
         raise ValueError("degree_cap must be nonnegative")
     derivs = reg_derivatives(f, T.constant, method, degree_cap)
     if not derivs.is_exact:
         raise InexactDataError(
-            "derivative data contains numeric entries; the exact operator form "
-            "needs closed-form values"
+            "derivative data contains numeric or logarithmic entries; the exact "
+            "operator form needs rational values"
         )
     acc = PowerSeries.constant(0, degree_cap)
     for k, power in enumerate(_reduction_symbols(T, degree_cap)):
@@ -284,19 +298,22 @@ def reg_sum(
     P: Polynomial,
     x: RationalLike,
     method: SummationMethod,
-) -> tuple[Union[Fraction, float], ConvergenceReport]:
+) -> tuple[Union[Fraction, LogValue, float], ConvergenceReport]:
     """Value of the regularized series sum a_n (T^n P)(x).
 
     Collapses to sum_{k<=deg P} v_k/k! (R^k P)(x) with (c, R) = T split at
-    its constant.  Exact v_k add their terms to one Fraction; each numeric
-    v_k adds v_k times the correctly rounded float of (R^k P)(x)/k!.  With
-    no numeric leg the value is that Fraction (its report's float is
-    infinite when the value is beyond the float range); otherwise it is the
-    Fraction's float plus the numeric terms, and a total that is not finite
-    is reported as not converged.  The report aggregates the numeric legs:
-    order_used is the deepest summation order (or the reduction degree on
-    the all-exact route), terms_used the total terms consumed, residual the
-    worst gap.
+    its constant.  Exact v_k add their terms to one Fraction, and a
+    logarithmic v_0 = b*log(q) (``altlog``'s) adds b*P(x) as the log
+    coefficient of a ``LogValue``; each numeric v_k adds v_k times the
+    correctly rounded float of (R^k P)(x)/k!.  With no numeric leg the
+    value is that Fraction, or a LogValue when a log leg was used, even
+    with coefficient 0 (the report's float is infinite when the value is
+    beyond the float range, and its ``exact`` is None for a LogValue);
+    otherwise it is that value's float plus the numeric terms, and a total
+    that is not finite is reported as not converged.  The report
+    aggregates the numeric legs: order_used is the deepest summation order
+    (or the reduction degree on the all-exact route), terms_used the total
+    terms consumed, residual the worst gap.
     """
     x = as_rational(x)
     if P.is_zero:
@@ -307,23 +324,32 @@ def reg_sum(
         return Fraction(0), report
     cap = len(P.coeffs) - 1
     derivs = reg_derivatives(f, T.constant, method, cap)
-    exact, numeric = Fraction(0), 0.0
+    exact, numeric, log = Fraction(0), 0.0, None
     rows = zip(derivs.values, derivs.reports, _reduced_values(T, P, x))
     for k, (v, leg, applied) in enumerate(rows):
-        if leg is None:
-            exact += v * applied / math.factorial(k)
-        else:
+        if leg is not None:
             num, den = applied.as_integer_ratio()
             numeric += v * _ratio(num, den * math.factorial(k))
-    exact_float = _ratio(*exact.as_integer_ratio())
+        elif isinstance(v, LogValue):
+            # v_0 (k = 0, so (R^0 P)(x) = P(x)); b*log(q) stays apart from A
+            exact += v.a * applied
+            log = v.b * applied, v.q
+        else:
+            exact += v * applied / math.factorial(k)
+    if log is None:
+        closed, closed_float = exact, _ratio(*exact.as_integer_ratio())
+    else:
+        closed = LogValue(exact, *log)
+        closed_float = float(closed)
     legs = [r for r in derivs.reports if r is not None]
     if not legs:
         report = ConvergenceReport(
-            value=exact_float, exact=exact, method_used=method, order_used=cap,
-            terms_used=cap + 1, converged=True, residual=0.0, provenance=PROV_EXACT,
+            value=closed_float, exact=exact if log is None else None, method_used=method,
+            order_used=cap, terms_used=cap + 1, converged=True, residual=0.0,
+            provenance=PROV_EXACT,
         )
-        return exact, report
-    total = exact_float + numeric
+        return closed, report
+    total = closed_float + numeric
     report = ConvergenceReport(
         value=total,
         exact=None,

@@ -12,15 +12,16 @@ the exact closed forms elsewhere in the package.
 
 from __future__ import annotations
 
+import decimal
 import json
 import math
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
-from .algebra import ParseError, RationalLike, as_rational
+from .algebra import ParseError, RationalLike, as_rational, format_rational
 
 DEFAULT_TERMS = 4000
 DEFAULT_TOL = 1e-3
@@ -52,13 +53,15 @@ class SeriesSpec:
     """A series given by its coefficient sequence n -> a_n (exact rationals).
 
     ``exact_reg_deriv(k, c, method)`` optionally returns the closed-form value
-    of sum_n a_n * [n]_k * c^(n-k) under the given method, or None when no
-    closed form applies there; ``alt``, ``altlog`` and ``geom:r`` carry the
-    one rule of ``_geometric_rule``, ``table:`` and custom series none.
+    of sum_n a_n * [n]_k * c^(n-k) under the given method (a Fraction, or
+    for k = 0 a ``LogValue``), or None when no closed form applies there;
+    ``alt``, ``altlog`` and ``geom:r`` carry the one rule of
+    ``_geometric_rule``, ``table:`` and custom series none.
 
     ``term`` must be a pure function of n: ``reg_derivatives`` works out each
-    numeric v_k once per (series, c, method) and keeps it, in at most 64
-    tables, so a series whose terms change later gets the earlier answer.
+    numeric v_k once per (series, c, method) and keeps it while the series
+    lives, in at most 64 tables per series, so a series whose terms change
+    later gets the earlier answer.
     A ``series_custom`` also keeps its terms a_0..a_DEFAULT_TERMS after the
     first read, so every engine over one such object reads them once.
     """
@@ -67,7 +70,7 @@ class SeriesSpec:
     kind: str = "custom"
     label: str = ""
     exact_reg_deriv: Optional[
-        Callable[[int, Fraction, "SummationMethod"], Optional[Fraction]]
+        Callable[[int, Fraction, "SummationMethod"], Union[Fraction, "LogValue", None]]
     ] = None
 
     def terms(self, count: int) -> list[Fraction]:
@@ -143,22 +146,80 @@ def _sig12(x: float) -> Optional[float]:
     return float(f"{x:.12g}")
 
 
+class LogValue:
+    """The exact real a + b*log(q), with a, b and q > 0 rational: ``altlog``'s
+    v_0 = log(1 + c), and a sum over it.  Immutable; equal when (a, b, q)
+    are.  ``float()`` rounds it once: log q comes from ``decimal`` at a
+    precision raised until a and b*log q cannot cancel."""
+
+    __slots__ = ("a", "b", "q")
+
+    def __init__(self, a: RationalLike, b: RationalLike, q: RationalLike):
+        for name, value in zip(self.__slots__, (a, b, q)):
+            object.__setattr__(self, name, as_rational(value))
+        if self.q <= 0:
+            raise ValueError(f"log argument must be positive, got {self.q}")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LogValue is immutable")
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, LogValue)
+                and (self.a, self.b, self.q) == (other.a, other.b, other.q))
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.q))
+
+    def __repr__(self) -> str:
+        return f"LogValue({self.a!r}, {self.b!r}, {self.q!r})"
+
+    def __str__(self) -> str:
+        sign = "-" if self.b < 0 else "+"
+        return (f"{format_rational(self.a)} {sign} "
+                f"{format_rational(abs(self.b))}*log({format_rational(self.q)})")
+
+    def __float__(self) -> float:
+        a, b, q = self.a, self.b, self.q
+        if not b or q == 1:
+            return _ratio(*a.as_integer_ratio())
+        # log q loses the digits by which q is near 1 when q is rounded, and
+        # the sum those by which a and b*log q cancel; 25 must remain.
+        p, r = q.numerator, q.denominator
+        near = max(0, r.bit_length() - abs(p - r).bit_length()) * 3 // 10
+        prec = 40 + near
+        while True:
+            ctx = decimal.Context(prec=prec, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+            parts = [ctx.divide(a.numerator, a.denominator),
+                     ctx.multiply(ctx.divide(b.numerator, b.denominator),
+                                  ctx.ln(ctx.divide(p, r)))]
+            total = ctx.add(*parts)
+            lost = near + (max(x.adjusted() for x in parts if x) - total.adjusted()
+                           if total else prec)
+            if prec - lost >= 25:
+                return float(total)
+            prec = lost + 50
+
+
 # ---------------------------------------------------------------------------
 # Built-in series
 
 
 def _geometric_rule(r: Fraction, lag: int = 0):
     """``exact_reg_deriv`` of a_n = r^n (lag 0), f = 1/(1 - rt), and of its
-    integral r^(n-1)/n (lag 1): with z = rc and j = k - lag, v_k = f^(k)(c)
-    = j! r^j / (1 - z)^(j+1).  The k-th derivative series has terms of size
-    n^j z^n: it converges when |z| < 1; at z = -1 only the power boundary
-    and the iterated means of order j + 1 or more (cesaro:auto whatever its
-    numeric order cap) sum it; j < 0, z = 1 and |z| > 1 have no closed form."""
+    integral r^(n-1)/n (lag 1), f = -log(1 - rt)/r: with z = rc and
+    j = k - lag, v_k = f^(k)(c) = j! r^j / (1 - z)^(j+1), and the lag-1
+    v_0 = -log(1 - z)/r, a ``LogValue`` (the rational 0 at z = 0).  The k-th
+    derivative series has terms of size n^j z^n: it converges when |z| < 1;
+    at z = -1 every method sums it for j < 0, and otherwise only the power
+    boundary and the iterated means of order j + 1 or more (cesaro:auto
+    whatever its numeric order cap); z = 1 and |z| > 1 have no closed form."""
 
-    def exact(k: int, c: Fraction, method: SummationMethod) -> Optional[Fraction]:
+    def exact(k: int, c: Fraction, method: SummationMethod) -> Union[Fraction, LogValue, None]:
         j, z = k - lag, r * c
-        if j < 0 or z == 1 or abs(z) > 1:
+        if z == 1 or abs(z) > 1:
             return None
+        if j < 0:
+            return LogValue(0, -1 / r, 1 - z) if z else Fraction(0)
         if z == -1 and (method.tag == "classical" or method.tag == "cesaro"
                         and method.order != "auto" and method.order <= j):
             return None

@@ -17,7 +17,7 @@ PUBLIC_NAMES = {
     "OperatorSpec", "op_delta", "op_diff", "op_identity", "op_shift",
     "parse_operator",
     # summation
-    "ConvergenceReport", "NotConvergedError", "SeriesSpec", "SummationMethod",
+    "ConvergenceReport", "LogValue", "NotConvergedError", "SeriesSpec", "SummationMethod",
     "abel_limit", "cauchy_product", "cesaro_auto", "cesaro_limit", "evaluate",
     "falling_factorial_value", "parse_series", "partial_sums", "series_alt",
     "series_alt_log", "series_custom", "series_geometric", "series_table",

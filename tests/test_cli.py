@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -13,9 +14,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from regsum import checks
+from regsum import checks, regularize, summation
 from regsum.algebra import parse_polynomial
-from regsum.cli import MAX_DEGREE, MAX_EULER, MAX_ORDER, MAX_TERMS, main
+from regsum.cli import MAX_DEGREE, MAX_EULER, MAX_ORDER, MAX_STEP_WORK, MAX_TERMS, main
 from regsum.operators import OperatorSpec, op_shift
 from regsum.regularize import reg_sum
 from regsum.summation import SummationMethod, parse_series, series_alt
@@ -118,9 +119,10 @@ def test_sum_json_schema(capsys):
     assert payload["value_float"] == -0.625
     assert payload["method"] == "exact"
     assert payload["provenance"] == "exact-closed-form"
-    assert set(payload) == {"request", "value_exact", "value_float", "method",
-                            "order_used", "terms_used", "provenance", "converged",
-                            "residual"}
+    assert payload["value_closed"] is None
+    assert set(payload) == {"request", "value_exact", "value_closed", "value_float",
+                            "method", "order_used", "terms_used", "provenance",
+                            "converged", "residual"}
     assert payload["request"]["polynomial"] == "x^2 - 1"
     assert payload["request"]["x"] == "1/2"
 
@@ -347,14 +349,19 @@ def test_abel_terms_bound_the_scan(capsys):
     assert code == 0 and strict_json(out)["terms_used"] == 3841
 
 
-def test_sum_abel_method_reads_the_term_budget(capsys):
-    code, out, _ = run(capsys, "sum", "--series", "altlog", "--poly", "x^2 + 1",
+def test_sum_abel_method_reads_the_term_budget(capsys, tmp_path):
+    # A table of degree 2 has no closed form, and its three legs settle at
+    # the fourth point (3,841 terms each); -N 500 allows only one point.
+    path = tmp_path / "quadratic.json"
+    path.write_text(json.dumps(["1", "-1/2", "1/3"]))
+    series = f"table:@{path}"
+    code, out, _ = run(capsys, "sum", "--series", series, "--poly", "x^2 + 1",
                        "--method", "abel", "-N", "500", "-o", "json")
     assert code == 2
-    code, out, _ = run(capsys, "sum", "--series", "altlog", "--poly", "x^2 + 1",
+    code, out, _ = run(capsys, "sum", "--series", series, "--poly", "x^2 + 1",
                        "--method", "abel", "-o", "json")
     payload = strict_json(out)
-    assert code == 0 and payload["terms_used"] == 3841
+    assert code == 0 and payload["terms_used"] == 3 * 3841
 
 
 @pytest.mark.parametrize("output", ["text", "json"])
@@ -421,8 +428,8 @@ def test_sum_prints_an_exact_value_of_any_size(capsys, output):
 @pytest.mark.parametrize("series", ["altlog", "geom:1/2"])
 @pytest.mark.parametrize("output", ["text", "json"])
 def test_sum_numeric_value_beyond_float_range_exits_2(capsys, tmp_path, series, output):
-    if series.startswith("geom:"):  # exact where it converges; its terms stay numeric
-        series = table_literal(tmp_path, series)
+    # exact where it converges; a table of its terms stays numeric
+    series = table_literal(tmp_path, series)
     code, out, err = run(capsys, "sum", "--series", series, "--poly",
                          f"{BIG_CONSTANT}*x + 1", "-o", output)
     assert code == 2
@@ -438,7 +445,7 @@ def test_sum_numeric_value_beyond_float_range_exits_2(capsys, tmp_path, series, 
 
 
 def test_sum_numeric_leg_past_the_float_factorials(capsys):
-    # 171! overflows a float; the value 170!/2^171 does not
+    # 171! overflows a float; the value 170!/2^171 (+ 0*log 2) does not
     code, out, err = run(capsys, "sum", "--series", "altlog", "--op", "symbol:[1,1]",
                          "--poly", "x^171", "--x", "0")
     assert code == 0
@@ -449,8 +456,9 @@ def test_sum_numeric_leg_past_the_float_factorials(capsys):
 
 
 def test_sum_mixed_table_keeps_its_exact_legs_exact(capsys):
-    # altlog at c = 1 has a numeric v_0 and exact v_k for k >= 1; the value
-    # is eta(-20) = 0, which a float sum of the exact legs misses.
+    # altlog at c = 1 has v_0 = log 2 and rational v_k for k >= 1; the value
+    # is eta(-20) = 0 (+ 0*log 2), which a float sum of the rational legs
+    # misses.
     code, out, err = run(capsys, "sum", "--series", "altlog", "--poly", "x^21",
                          "-o", "json")
     assert (code, err) == (0, "")
@@ -460,6 +468,59 @@ def test_sum_mixed_table_keeps_its_exact_legs_exact(capsys):
     code, out, _ = run(capsys, "sum", "--series", "altlog", "--poly", "x^21")
     assert code == 0
     assert text_fields(out)["value_float"] == "0"
+
+
+@pytest.mark.parametrize("argv, value_float, closed", [
+    (("--poly", "1000000"), "693147.18056", "0 + 1000000*log(2)"),
+    (("--op", "shift:-3/2", "--poly", "7*x^6-x^5+3", "--x", "2"), "2.90913740462",
+     "-73605/256 + 419*log(2)"),
+])
+def test_sum_altlog_in_closed_form(capsys, argv, value_float, closed):
+    # A + B*log 2, exact: the value_float of 10^6 log 2 = 693147.18 read
+    # 693022.196 while v_0 was summed numerically
+    code, out, err = run(capsys, "sum", "--series", "altlog", *argv)
+    assert (code, err) == (0, "")
+    fields = text_fields(out)
+    assert (fields["value_float"], fields["value_closed"]) == (value_float, closed)
+    assert "value_exact" not in fields
+    assert (fields["method"], fields["provenance"]) == ("exact", "exact-closed-form")
+    code, out, _ = run(capsys, "sum", "--series", "altlog", *argv, "-o", "json")
+    payload = strict_json(out)
+    assert code == 0 and payload["value_exact"] is None
+    assert payload["value_closed"] == closed and payload["residual"] == 0.0
+    # value_exact stays null even when the log coefficient P(x) is 0
+    code, out, _ = run(capsys, "sum", "--series", "altlog", "--poly", "x", "-o", "json")
+    payload = strict_json(out)
+    assert payload["value_exact"] is None and payload["value_closed"] == "1/2 + 0*log(2)"
+
+
+def test_sum_altlog_reads_no_numeric_engine(capsys, monkeypatch, tmp_path):
+    # The structural form of the claim: with the term scaling that every
+    # numeric engine and derivative block starts from made to raise, the
+    # closed form still answers.
+    def refuse(*args):
+        raise RuntimeError("numeric engine reached")
+
+    monkeypatch.setattr(summation, "_scaled_terms", refuse)
+    monkeypatch.setattr(regularize, "_scaled_terms", refuse)
+    code, out, err = run(capsys, "sum", "--series", "altlog", "--op", "shift:-3/2",
+                         "--poly", "7*x^6-x^5+3", "--x", "2")
+    assert (code, err) == (0, "")
+    assert text_fields(out)["value_float"] == "2.90913740462"
+    # the patch does reach the engines: a table, and the raw altlog terms
+    with pytest.raises(RuntimeError, match="numeric engine reached"):
+        main(["sum", "--series", table_literal(tmp_path, "altlog"), "--poly", "1"])
+    with pytest.raises(RuntimeError, match="numeric engine reached"):
+        main(["cesaro", "--series", "altlog"])
+
+
+def test_sum_altlog_beyond_float_range_is_exact(capsys):
+    code, out, err = run(capsys, "sum", "--series", "altlog", "--poly",
+                         f"{BIG_CONSTANT}*x + 1", "-o", "json")
+    assert (code, err) == (0, "")
+    payload = strict_json(out)
+    assert payload["value_float"] is None and payload["converged"] is True
+    assert payload["value_closed"] == "5" + "0" * 399 + " + 1*log(2)"
 
 
 def test_sum_degree_171_on_the_default_shift(capsys):
@@ -573,6 +634,37 @@ def test_symbol_bad_literal(capsys):
     code, _, err = run(capsys, "symbol", "twist:2")
     assert code == 1
     assert "operator" in err
+
+
+# (10^300 + 7)/(10^300 - 3): 997 + 997 bits
+LONG_STEP = f"{10 ** 300 + 7}/{10 ** 300 - 3}"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("symbol", f"shift:{LONG_STEP}", "--order", "100"), "operator"),
+    (("symbol", f" delta:{LONG_STEP}", "--order", "15"), "operator"),
+    (("sum", "--series", "alt", "--poly", "x", f"--h={LONG_STEP}"), "--h"),
+    (("sum", "--series", "alt", "--poly", "x", f"--op=shift:{LONG_STEP}"), "--op"),
+])
+def test_a_long_step_exits_1_before_the_symbol_is_built(capsys, argv, flag):
+    # order x step bits is capped at shift:97/89's 2000 x 14; the symbol
+    # holds h^n/n! exactly, and shift:H at order 100 printed 3 MB in 2.9 s.
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {flag}: ") and str(MAX_STEP_WORK) in err
+
+
+def test_the_step_cap_admits_its_own_case(capsys):
+    assert MAX_STEP_WORK == MAX_ORDER * ((97).bit_length() + (89).bit_length())
+    code, out, err = run(capsys, "symbol", "shift:97/89", "--order", str(MAX_ORDER))
+    assert (code, err) == (0, "")
+    assert out.rstrip().endswith(f"*t^{MAX_ORDER} + O(t^{MAX_ORDER + 1})")
+    code, out, err = run(capsys, "symbol", f"shift:{LONG_STEP}", "--order", "14")
+    assert (code, err) == (0, "")
+    code, out, err = run(capsys, "sum", "--series", "alt", "--poly", "x", "--h", "97/89")
+    assert (code, err) == (0, "")
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,12 @@ from regsum.regularize import (
     reg_operator,
     reg_sum,
 )
-from regsum.regularize import _derivative_blocks, _derivative_table
+from regsum.regularize import _derivative_blocks, _derivative_table, _reduced_values
 from regsum.summation import (
     ConvergenceReport,
+    LogValue,
     SummationMethod,
+    cauchy_product,
     cesaro_auto,
     evaluate,
     falling_factorial_value,
@@ -63,6 +65,21 @@ def signed_powers(m):
     return series_custom(lambda n, mm=m: Fraction((-1) ** n * n ** mm))
 
 
+def altlog_numeric_v0():
+    """A fresh altlog whose v_0 = log(1 + c) has no closed form, so that leg
+    is summed numerically while the v_k for k >= 1 keep theirs: the mixed
+    table altlog had before its v_0 was closed."""
+    rule = ALTLOG.exact_reg_deriv
+    return dataclasses.replace(
+        series_alt_log(), label="altlog-numeric-v0",
+        exact_reg_deriv=lambda k, c, method: None if k == 0 else rule(k, c, method))
+
+
+def parse_with_numeric_v0(name):
+    """parse_series(name), except that altlog comes as altlog_numeric_v0()."""
+    return altlog_numeric_v0() if name == "altlog" else parse_series(name)
+
+
 # ---------------------------------------------------------------------------
 # derivative tables
 
@@ -78,8 +95,24 @@ def test_alt_derivatives_are_exact_closed_forms():
         assert derivs.reports[k] is None
 
 
-def test_altlog_derivatives_mix_sources():
+def test_altlog_derivatives_are_closed_forms():
+    # v_0 = log 2 is exact but not rational, so the table is not is_exact
     derivs = reg_derivatives(ALTLOG, 1, CESARO, 3)
+    assert not derivs.is_exact
+    assert derivs.values[0] == LogValue(0, 1, 2)
+    assert derivs.provenance == ["exact-closed-form"] * 4
+    assert derivs.reports == [None] * 4
+    for k in range(1, 4):
+        expect = Fraction((-1) ** (k - 1) * math.factorial(k - 1), 2 ** k)
+        assert derivs.values[k] == expect
+    # inside the radius v_0 = log(1 + c), and 0 at c = 0
+    assert reg_derivatives(ALTLOG, Fraction(1, 3), SummationMethod("classical"), 0).values \
+        == [LogValue(0, 1, Fraction(4, 3))]
+    assert reg_derivatives(ALTLOG, 0, CESARO, 0).values == [0]
+
+
+def test_altlog_derivatives_mix_sources():
+    derivs = reg_derivatives(altlog_numeric_v0(), 1, CESARO, 3)
     assert not derivs.is_exact
     assert isinstance(derivs.values[0], float)
     assert abs(derivs.values[0] - math.log(2)) <= 1e-3
@@ -157,16 +190,17 @@ def test_derivative_block_entries_are_the_derivative_terms(name, p, q, orders):
 
 
 def test_numeric_leg_holds_one_block():
-    # altlog's v_0 at c = 1 is the one numeric leg; its block of 4001
-    # ints over lcm(1..4000) is about 3 MB, so a second live copy of it
-    # would cross the bound.  Each run sums a fresh series, whose
-    # derivative table is empty, so the leg is really summed; the Cesaro
-    # and the Abel leg both read the block.
+    # A custom copy of altlog's terms has no closed form; at degree 0 its
+    # v_0 at c = 1 is the one numeric leg, and its block of 4001 ints over
+    # lcm(1..4000) is about 3 MB, so a second live copy of it would cross
+    # the bound.  Each run sums a fresh series, whose derivative table is
+    # empty, so the leg is really summed; the Cesaro and the Abel leg both
+    # read the block.
     for method in (CESARO, SummationMethod("abel")):
         tracemalloc.start()
         try:
-            _, report = reg_sum(series_alt_log(), op_shift(Fraction(1, 2)),
-                                parse_polynomial("x^6-3*x^2+1/2"), Fraction(1, 3), method)
+            _, report = reg_sum(series_custom(ALTLOG.term), op_shift(Fraction(1, 2)),
+                                parse_polynomial("-3/2"), Fraction(1, 3), method)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -176,7 +210,7 @@ def test_numeric_leg_holds_one_block():
 
 def test_abel_route_tags_provenance():
     method = SummationMethod("abel")
-    derivs = reg_derivatives(ALTLOG, 1, method, 0)
+    derivs = reg_derivatives(series_custom(ALTLOG.term), 1, method, 0)
     assert derivs.provenance == ["numeric-abel"]
     assert abs(derivs.values[0] - math.log(2)) <= 1e-3
 
@@ -185,7 +219,7 @@ def test_exact_method_requires_closed_form():
     with pytest.raises(NotRegularError):
         reg_derivatives(series_custom(series_geometric(Fraction(1, 2)).term), 1, EXACT, 0)
     with pytest.raises(NotRegularError):
-        reg_derivatives(ALTLOG, 1, EXACT, 1)
+        reg_derivatives(series_custom(ALTLOG.term), 1, EXACT, 1)
 
 
 def test_divergent_entry_raises_not_regular():
@@ -292,8 +326,8 @@ def test_a_repeated_sum_reads_no_terms():
 @pytest.mark.parametrize("name", ["geom:-1", "altlog"])
 def test_a_table_keeps_only_its_per_order_results(name):
     # The table of a fresh series is kept after the call; the integer block
-    # (about 3 MB for altlog) and the a_n memo must not be.
-    f = parse_series(name)
+    # (about 3 MB for altlog's numeric v_0) and the a_n memo must not be.
+    f = parse_with_numeric_v0(name)
     T, P = op_shift(1), parse_polynomial("x^3")
     gc.collect()
     tracemalloc.start()
@@ -306,6 +340,41 @@ def test_a_table_keeps_only_its_per_order_results(name):
         tracemalloc.stop()
     assert after - before < 64_000, after - before
     assert peak < 4_000_000, peak
+
+
+def test_dropped_products_leave_no_tables():
+    # Each product is a series_custom of 4,001 kept terms with a numeric
+    # table; the tables hold their series weakly, so once the product cache
+    # lets go of the products nothing of them stays (1.8 MB did while the
+    # tables held them).
+    method = SummationMethod("cesaro", order="auto")
+    cauchy_product.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for i in range(6):
+            lhs, rhs = product_rule_check(series_table([Fraction(i + 1, 7)]),
+                                          series_geometric(-1), 0, method)
+            assert abs(lhs - rhs) <= 1e-3
+        cauchy_product.cache_clear()
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < 64_000, after - before
+
+
+def test_a_series_keeps_its_64_latest_tables():
+    f = series_table(["1", "1/2"])
+    first = _derivative_table(f, Fraction(1), CESARO)
+    kept = _derivative_table(f, Fraction(2), CESARO)
+    for i in range(3, 66):
+        _derivative_table(f, Fraction(i), CESARO)
+        assert _derivative_table(f, Fraction(2), CESARO) is kept
+    assert _derivative_table(f, Fraction(1), CESARO) is not first
+    # an equal series shares the tables; they are dropped with the series
+    assert _derivative_table(dataclasses.replace(f), Fraction(2), CESARO) is kept
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +402,9 @@ def test_reg_operator_inverts_one_plus_shift(h, cap):
 
 
 def test_reg_operator_rejects_numeric_entries():
+    with pytest.raises(InexactDataError):
+        reg_operator(series_custom(ALTLOG.term), op_shift(1), CESARO, 2)
+    # altlog's v_0 = log 2 is exact but not rational
     with pytest.raises(InexactDataError):
         reg_operator(ALTLOG, op_shift(1), CESARO, 2)
 
@@ -470,10 +542,10 @@ def test_reg_sum_is_method_agnostic_on_closed_forms():
 
 
 def test_reg_sum_numeric_path_aggregates():
-    # the log series has a numeric order-zero entry, so the combined value
-    # is a float and the report carries both source tags
+    # a numeric order-zero entry makes the combined value a float, and the
+    # report carries both source tags
     p = Polynomial.x()
-    value, report = reg_sum(ALTLOG, op_shift(1), p, 0, CESARO)
+    value, report = reg_sum(altlog_numeric_v0(), op_shift(1), p, 0, CESARO)
     assert isinstance(value, float)
     # v_0 * 0 + v_1 * (delta x)(0) = 1/2
     assert abs(value - 0.5) <= 1e-3
@@ -570,7 +642,7 @@ def test_reg_sum_matches_the_reference_reduction_exactly(operator):
     ("geom:1/2", "symbol:[1/3,1]"),
 ])
 def test_reg_sum_matches_the_reference_reduction_on_numeric_legs(series, operator):
-    f = parse_series(series)
+    f = parse_with_numeric_v0(series)
     T = parse_operator(operator)
     for text, x in (("1", 0), ("x^2 - 1/2*x", Fraction(1, 3)),
                      ("-2/3*x^4 + 5*x + 1", Fraction(-3, 2))):
@@ -589,22 +661,28 @@ def test_reg_sum_exact_value_beyond_float_range():
 
 
 def test_reg_sum_keeps_exact_legs_exact_in_a_mixed_table():
-    # altlog at c = 1: v_0 = log 2 is numeric, v_k for k >= 1 exact.  At
+    # altlog at c = 1 with a numeric v_0 = log 2, v_k for k >= 1 exact.  At
     # x = 0, (R^0 x^d)(0) = 0, so the value is -alt_power_sum(d - 1) rounded
     # once; summing the exact legs' large alternating terms as floats loses
-    # it from d = 19 on.
+    # it from d = 19 on.  With v_0 closed the value is that rational plus
+    # 0*log 2.
+    mixed = altlog_numeric_v0()
     for d in range(2, 42):
         p = Polynomial.monomial(d)
-        value, report = reg_sum(ALTLOG, op_shift(1, d + 4), p, 0, CESARO)
+        value, report = reg_sum(mixed, op_shift(1, d + 4), p, 0, CESARO)
         assert value == float(-alt_power_sum(d - 1)), d
         assert report.converged
+        value, report = reg_sum(ALTLOG, op_shift(1, d + 4), p, 0, CESARO)
+        assert value == LogValue(-alt_power_sum(d - 1), 0, 2), d
+        assert report.value == float(-alt_power_sum(d - 1))
 
 
 def test_reg_sum_numeric_leg_past_the_float_factorials():
     # T = 1 + D, so the value is v_171 (D^171 x^171)(0) / 171! = f^(171)(1)
     # for f(z) = log(1+z): 170!/2^171, a float although 171! is not.
     p = parse_polynomial("x^171")
-    value, report = reg_sum(ALTLOG, parse_operator("symbol:[1,1]", order=171), p, 0, CESARO)
+    value, report = reg_sum(altlog_numeric_v0(), parse_operator("symbol:[1,1]", order=171),
+                            p, 0, CESARO)
     assert report.exact is None
     assert report.converged
     assert value == pytest.approx(math.factorial(170) / 2 ** 171, rel=1e-12)
@@ -616,9 +694,8 @@ def test_reg_sum_numeric_leg_past_the_float_factorials():
 ])
 def test_reg_sum_numeric_value_beyond_float_range_is_not_converged(series, operator):
     p = parse_polynomial(f"{10 ** 400}*x + 1")
-    f = parse_series(series)
-    if f.kind == "geometric":  # exact where it converges; its terms stay numeric
-        f = series_custom(f.term)
+    # exact where it converges; a custom copy of its terms stays numeric
+    f = series_custom(parse_series(series).term)
     value, report = reg_sum(f, parse_operator(operator), p, 0, CESARO)
     assert not math.isfinite(value)
     assert report.exact is None
@@ -636,6 +713,98 @@ def test_functional_equation_on_random_instances():
         half = reg_operator(ALT, op_shift(h, order=deg + 6), EXACT, deg + 2)
         s = half.apply(p)
         assert (s.translate(h) + s - p).is_zero
+
+
+# ---------------------------------------------------------------------------
+# altlog in closed form: A + B*log(1 + c)
+
+
+def forward_difference_split(P, h, x):
+    """(A, B) with sum_{n>=1} (-1)^(n+1) Q(n)/n = A + B*log 2 for
+    Q(n) = P(x + n h): B = Q(0) and A = sum_{k>=1} Delta^k Q(0) (-1)^(k-1)
+    / (k 2^k), from the forward differences of Q at 0 (Euler's transform;
+    no derivatives, symbols or zigzag numbers)."""
+    d = max(len(P.coeffs) - 1, 0)
+    row = [P(x + n * h) for n in range(d + 2)]
+    diffs = []
+    while row:
+        diffs.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    a = sum((diffs[k] * (-1) ** (k - 1) / (k * 2 ** k) for k in range(1, len(diffs))),
+            Fraction(0))
+    return a, diffs[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(small_rationals, min_size=1, max_size=13), small_rationals, small_rationals)
+def test_altlog_closed_form_matches_the_forward_difference_split(coeffs, h, x):
+    P = Polynomial(coeffs)
+    d = len(P.coeffs) - 1
+    value, report = reg_sum(ALTLOG, op_shift(h, order=max(d, 0) + 4), P, x, EXACT)
+    if P.is_zero:
+        assert value == 0
+        return
+    a, b = forward_difference_split(P, h, x)
+    assert value == LogValue(a, b, 2)
+    assert report == ConvergenceReport(
+        value=float(value), exact=None, method_used=EXACT, order_used=d, terms_used=d + 1,
+        converged=True, residual=0.0, provenance="exact-closed-form")
+
+
+def test_altlog_closed_form_agrees_with_both_numeric_engines():
+    # A custom copy of altlog's terms has no closed form, so every leg is
+    # numeric.  The instances are rescaled so the weights |(R^k P)(x)/k!|
+    # sum to 1, which keeps each engine's absolute error near its tol.
+    copy = series_custom(ALTLOG.term)
+    rng = random.Random(11)
+    for i in range(16):
+        d = i % 4
+        p = Polynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(d)]
+                       + [Fraction(rng.randint(1, 9), rng.randint(1, 5))])
+        h = Fraction(rng.randint(-8, 8) or 3, rng.randint(1, 4))
+        x = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        T = op_shift(h, order=d + 4)
+        weight = sum(abs(v) / math.factorial(k)
+                     for k, v in enumerate(_reduced_values(T, p, x)))
+        p = Polynomial([c / weight for c in p.coeffs])
+        closed, _ = reg_sum(ALTLOG, T, p, x, EXACT)
+        for method in (CESARO, SummationMethod("abel")):
+            value, report = reg_sum(copy, T, p, x, method)
+            assert report.converged, (i, method)
+            assert abs(value - float(closed)) <= 1e-3, (i, method, value, closed)
+
+
+def test_altlog_closed_form_inside_the_radius():
+    # T = 1/3 + D: c = 1/3, so v_0 = log(4/3), and the series converges
+    # geometrically; its first 300 terms sum sum_n a_n (T^n P)(x), with
+    # (T^n P)(x) = sum_j C(n, j) c^(n-j) P^(j)(x), to far below 1e-12.
+    T = parse_operator("symbol:[1/3,1]", order=8)
+    P, x = parse_polynomial("2*x^4 - x^3 + 5/2*x - 1"), Fraction(-2, 3)
+    value, report = reg_sum(ALTLOG, T, P, x, SummationMethod("classical"))
+    assert isinstance(value, LogValue)
+    assert (value.b, value.q) == (P(x), Fraction(4, 3))
+    assert str(value).endswith("*log(4/3)")
+    assert report.provenance == "exact-closed-form" and report.terms_used == 5
+    c, at_x = Fraction(1, 3), []
+    current = P
+    while not current.is_zero:
+        at_x.append(current(x))
+        current = current.derivative()
+    direct = sum(ALTLOG.term(n) * sum(math.comb(n, j) * c ** (n - j) * v
+                                      for j, v in enumerate(at_x))
+                 for n in range(1, 300))
+    assert abs(float(value) - float(direct)) <= 1e-12
+    for method in (CESARO, SummationMethod("abel")):
+        assert reg_sum(ALTLOG, T, P, x, method)[0] == value
+
+
+def test_altlog_closed_form_beyond_float_range():
+    # exact, as a rational beyond the float range is: converged, float inf
+    value, report = reg_sum(ALTLOG, op_shift(1), parse_polynomial(f"{10 ** 400}*x + 1"), 0,
+                            CESARO)
+    assert value == LogValue(Fraction(10 ** 400, 2), 1, 2)
+    assert report.converged and report.exact is None
+    assert report.value == math.inf and report.to_json_dict()["value"] is None
 
 
 # ---------------------------------------------------------------------------
@@ -731,8 +900,6 @@ def test_alt_binom_sum_matches_reduction():
 
 
 def test_product_rule_unit_factor_is_exact_in_the_series():
-    from regsum.summation import cauchy_product
-
     unit = series_table(["1"])
     prod = cauchy_product(ALT, unit)
     for n in range(40):

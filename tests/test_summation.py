@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from regsum.operators import op_shift
 from regsum.regularize import reg_sum
 from regsum.summation import (
     ConvergenceReport,
+    LogValue,
     NotConvergedError,
     SeriesSpec,
     DEFAULT_TERMS,
@@ -101,9 +103,53 @@ def test_altlog_closed_form_gate():
     assert ALTLOG.exact_reg_deriv(1, Fraction(1), method) == Fraction(1, 2)
     assert ALTLOG.exact_reg_deriv(2, Fraction(1), method) == Fraction(-1, 4)
     assert ALTLOG.exact_reg_deriv(3, Fraction(1), method) == Fraction(2, 8)
-    # order zero would be log 2, which has no rational value
-    assert ALTLOG.exact_reg_deriv(0, Fraction(1), method) is None
+    # order zero is log 2, a LogValue, under every method
+    for tag in ("classical", "cesaro", "abel", "exact"):
+        assert ALTLOG.exact_reg_deriv(0, Fraction(1), SummationMethod(tag)) == LogValue(0, 1, 2)
+    assert ALTLOG.exact_reg_deriv(0, Fraction(-1, 2), method) == LogValue(0, 1, Fraction(1, 2))
+    assert ALTLOG.exact_reg_deriv(0, Fraction(0), method) == 0
     assert ALTLOG.exact_reg_deriv(1, Fraction(2), method) is None
+    assert ALTLOG.exact_reg_deriv(0, Fraction(2), method) is None
+    assert ALTLOG.exact_reg_deriv(0, Fraction(-1), method) is None
+
+
+# log 2 to 100 digits
+LN2 = Decimal("0.6931471805599453094172321214581765680755001343602552541206800094"
+              "933936219696947156058633269964186875")
+
+
+def test_log_value_text_and_identity():
+    value = LogValue(Fraction(-73605, 256), 419, 2)
+    assert str(value) == "-73605/256 + 419*log(2)"
+    assert str(LogValue(0, Fraction(-3, 2), Fraction(4, 3))) == "0 - 3/2*log(4/3)"
+    assert value == LogValue("-73605/256", "419", "2") and hash(value) == hash(
+        LogValue(Fraction(-73605, 256), 419, 2))
+    assert value != LogValue(Fraction(-73605, 256), 419, 3)
+    with pytest.raises(AttributeError):
+        value.b = 0
+    with pytest.raises(ValueError):
+        LogValue(0, 1, 0)
+    assert float(value) == 2.9091374046170846
+
+
+def test_log_value_float_is_one_rounding():
+    # A near-cancelling a against -b*log 2: the sum is below 1e-15 while
+    # both parts are near 8e18, so 34 digits cancel.  The float must be
+    # within one ulp of a 60-digit reference.
+    b = 3 ** 40
+    with localcontext() as ctx:
+        ctx.prec = 100
+        a = -Fraction(int(b * LN2 * 10 ** 15), 10 ** 15)
+        reference = float(b * LN2 + Decimal(a.numerator) / a.denominator)
+    assert 0 < reference < 1e-15
+    got = float(LogValue(a, b, 2))
+    assert abs(got - reference) <= math.ulp(reference), (got, reference)
+    # log q for q near 1 keeps its digits
+    assert float(LogValue(0, 1, 1 + Fraction(1, 10 ** 50))) == 1e-50
+    # b = 0 or q = 1 is the rational a, beyond the float range too
+    assert float(LogValue(Fraction(1, 3), 0, 2)) == 1 / 3
+    assert float(LogValue(10 ** 400, 5, 1)) == math.inf
+    assert float(LogValue(-(10 ** 400), 1, 2)) == -math.inf
 
 
 # (r, lag, c): a_n = r^n (lag 0) or r^(n-1)/n (lag 1, the altlog series),
@@ -138,26 +184,24 @@ def test_geometric_rule_matches_both_engines(r, lag, c):
     hook = f.exact_reg_deriv
     for k in range(5):
         value = hook(k, c, SummationMethod("cesaro"))
-        if k < lag:
-            assert value is None
-            continue
         j = k - lag
         reference = series_custom(
             lambda n, k=k: Fraction(0) if n < k
             else f.term(n) * falling_factorial_value(n, k) * c ** (n - k))
         report = cesaro_auto(reference, N=4000)
         assert report.converged or r * c == -1, (k, report)
-        assert abs(report.value - value) <= 1e-3 * max(1, abs(r) ** j), (k, report)
+        assert abs(report.value - float(value)) <= 1e-3 * max(1, abs(r) ** j), (k, report)
         report = abel_limit(reference, max_terms=4000)
         if report.converged:
-            assert abs(report.value - value) <= 1e-3, (k, report)
+            assert abs(report.value - float(value)) <= 1e-3, (k, report)
         assert hook(k, c, SummationMethod("abel")) == value
         assert hook(k, c, SummationMethod("exact")) == value
-        # at rc = -1 the k-th series needs a mean of order j + 1
+        # at rc = -1 the k-th series needs a mean of order j + 1; the lag-1
+        # v_0 (j = -1) is summed by every method
         fixed = [SummationMethod("classical")] + [SummationMethod("cesaro", order=m)
                                                   for m in range(j + 2)]
         gated = [hook(k, c, m) for m in fixed]
-        if r * c == -1:
+        if r * c == -1 and j >= 0:
             assert gated == [None] * (j + 2) + [value], k
         else:
             assert gated == [value] * (j + 3), k
