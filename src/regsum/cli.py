@@ -23,6 +23,7 @@ from .algebra import ParseError, _decimal, parse_polynomial
 from .operators import op_shift, parse_operator
 from .summation import (
     DEFAULT_TERMS,
+    MAX_ORDER_CAP,
     LogValue,
     NotConvergedError,
     SummationMethod,
@@ -55,7 +56,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NOT_REGULAR = 2
 
-# --method literal -> (engine, order); "cesaro:k" also takes any k >= 0.
+# --method literal -> (engine, order); "cesaro:k" also takes k = 0..MAX_ORDER_CAP.
 _METHODS = {
     "exact": ("exact", 0),
     "classical": ("classical", 0),
@@ -88,14 +89,21 @@ def _literal(parse, text, flag: str):
         raise CliError(f"{flag}: bad value {text!r} ({exc})") from None
 
 
+def _mean_order(text: str, flag: str) -> int:
+    """An iterated-mean order literal in 0..MAX_ORDER_CAP, checked here
+    because SummationMethod's ValueError would not reach an exit code."""
+    k = _literal(int, text, flag)
+    if not 0 <= k <= MAX_ORDER_CAP:
+        raise CliError(f"{flag}: order must be in 0..{MAX_ORDER_CAP}, got {k}")
+    return k
+
+
 def _parse_method(text: str, args: argparse.Namespace) -> SummationMethod:
     text = text.strip()
     if text in _METHODS:
         name, order = _METHODS[text]
     elif text.startswith("cesaro:"):
-        name, order = "cesaro", _literal(int, text[7:], "--method")
-        if order < 0:
-            raise CliError(f"--method: order must be nonnegative, got {order}")
+        name, order = "cesaro", _mean_order(text[7:], "--method")
     else:
         raise CliError(
             f"--method: unknown method {text!r} "
@@ -196,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_cesaro)
     common(p, series=True)
     p.add_argument("--k", dest="order", metavar="K", default="auto",
-                   help="mean order (nonnegative int) or 'auto'")
+                   help=f"mean order (0..{MAX_ORDER_CAP}) or 'auto'")
 
     p = sub.add_parser("abel", help="power-boundary summation of a series literal")
     p.set_defaults(run=cmd_abel)
@@ -288,9 +296,7 @@ def cmd_cesaro(args: argparse.Namespace) -> int:
     if args.order == "auto":
         report = cesaro_auto(series, N=args.n_max, tol=args.tol)
     else:
-        k = _literal(int, args.order, "--k")
-        if k < 0:
-            raise CliError("--k: must be nonnegative")
+        k = _mean_order(args.order, "--k")
         report = cesaro_limit(series, k, N=args.n_max, tol=args.tol)
     fields = report.to_json_dict()
     return _emit(args, _field_lines(fields), fields, report.converged)

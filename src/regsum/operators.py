@@ -132,8 +132,7 @@ def parse_operator(text: str, order: int | None = None) -> OperatorSpec:
         if not items:
             raise ParseError("empty symbol coefficient list", 8)
         coeffs = [_parse_rational(s, text) for s in items]
-        if len(coeffs) < order + 1:
-            coeffs += [Fraction(0)] * (order + 1 - len(coeffs))
+        coeffs = (coeffs + [Fraction(0)] * order)[: order + 1]
         return OperatorSpec(PowerSeries(coeffs), "symbol")
     raise ParseError(f"unknown operator literal {text!r}", 0)
 

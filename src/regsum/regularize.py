@@ -15,8 +15,7 @@ each other.
 from __future__ import annotations
 
 import math
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
@@ -103,97 +102,42 @@ def reg_derivatives(
     otherwise the numeric engine named by the method.  Terms with n < k
     vanish with [n]_k, so no negative power of c is ever formed.
 
-    The v_k depend only on (f, c, method), so each is worked out once and
-    kept in that key's table (see ``_derivative_table``); a later call
-    reads it and extends it only past its deepest order.  This assumes
-    ``f.term`` is a pure function of n.
-
     Raises NotRegularError when a numeric entry fails to converge within the
     method's budget, and for method tag "exact" when no closed form exists.
     """
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     c = as_rational(c)
-    table = _derivative_table(f, c, method)
-    if len(table.legs) <= k_max and table.decline is None:
-        _extend_table(table, f, c, method, k_max)
-    if len(table.legs) <= k_max:
-        raise NotRegularError(*table.decline)
-    values, reports = map(list, zip(*table.legs[: k_max + 1]))
+    closed = [f.exact_reg_deriv and f.exact_reg_deriv(k, c, method) for k in range(k_max + 1)]
+    # Every numeric leg reads its terms from one integer block, built on
+    # the first such leg and advanced in place from order to order.
+    orders = [k for k, v in enumerate(closed) if v is None]
+    blocks = _derivative_blocks(f, c, method.n_max, orders)
+    values, reports = [], []
+    for k, value in enumerate(closed):
+        if value is None and c == 0:
+            value = Fraction(math.factorial(k)) * f.term(k)
+        report = None
+        if value is None:
+            if method.tag == "exact":
+                raise NotRegularError(
+                    f"no closed form for derivative order {k} of {f.label or f.kind} "
+                    f"at c={c}; use a numeric method"
+                )
+            report = _block_limit(*next(blocks), method)
+            if not report.converged:
+                raise NotRegularError(
+                    f"derivative order {k} of {f.label or f.kind} at c={c} did not "
+                    f"converge under {method.describe()} "
+                    f"(residual {report.residual:.3g}, tol {method.tol:g})",
+                    report,
+                )
+            value = report.value
+        values.append(value)
+        reports.append(report)
     numeric = PROV_ABEL if method.tag == "abel" else PROV_CESARO
     provenance = [PROV_EXACT if r is None else numeric for r in reports]
     return RegularizedDerivatives(c, values, provenance, method, reports)
-
-
-@dataclass
-class _DerivativeTable:
-    """The v_k of one (series, c, method) worked out so far: (value, report)
-    for k = 0..K, the report None on an exact leg, and the first decline as
-    the (message, report) of its NotRegularError, after which the table
-    never grows."""
-
-    legs: list[tuple[Union[Fraction, LogValue, float], Optional[ConvergenceReport]]] = field(
-        default_factory=list
-    )
-    decline: Optional[tuple[str, Optional[ConvergenceReport]]] = None
-
-
-# series -> {(c, method): table}, least recently used first.  The series is
-# held weakly, so its tables go with it.
-_TABLES: "weakref.WeakKeyDictionary[SeriesSpec, dict]" = weakref.WeakKeyDictionary()
-_TABLES_PER_SERIES = 64
-
-
-def _derivative_table(f: SeriesSpec, c: Fraction, method: SummationMethod) -> _DerivativeTable:
-    """The one table of (f, c, method), empty when first asked for.  A series
-    keeps its 64 most recently used tables for as long as it lives; a table
-    holds only the per-order results, never the terms."""
-    tables = _TABLES.setdefault(f, {})
-    table = tables.pop((c, method), None)
-    if table is None:
-        table = _DerivativeTable()
-        if len(tables) >= _TABLES_PER_SERIES:
-            del tables[next(iter(tables))]
-    tables[c, method] = table
-    return table
-
-
-def _extend_table(
-    table: _DerivativeTable, f: SeriesSpec, c: Fraction, method: SummationMethod, k_max: int
-) -> None:
-    """Append the legs K+1..k_max, or up to the first decline, which is
-    recorded instead of raised.  The integer block lives only for this
-    call."""
-    start = len(table.legs)
-    closed = {k: f.exact_reg_deriv and f.exact_reg_deriv(k, c, method)
-              for k in range(start, k_max + 1)}
-    # Every numeric leg reads its terms from one integer block, built on
-    # the first such leg and advanced in place from order to order.
-    orders = [k for k, v in closed.items() if v is None]
-    blocks = _derivative_blocks(f, c, method.n_max, orders)
-    for k, value in closed.items():
-        if value is None and c == 0:
-            value = Fraction(math.factorial(k)) * f.term(k)
-        if value is not None:
-            table.legs.append((value, None))
-            continue
-        if method.tag == "exact":
-            table.decline = (
-                f"no closed form for derivative order {k} of {f.label or f.kind} "
-                f"at c={c}; use a numeric method",
-                None,
-            )
-            return
-        report = _block_limit(*next(blocks), method)
-        if not report.converged:
-            table.decline = (
-                f"derivative order {k} of {f.label or f.kind} at c={c} did not "
-                f"converge under {method.describe()} "
-                f"(residual {report.residual:.3g}, tol {method.tol:g})",
-                report,
-            )
-            return
-        table.legs.append((report.value, report))
 
 
 def _derivative_blocks(

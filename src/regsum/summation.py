@@ -58,11 +58,7 @@ class SeriesSpec:
     ``alt``, ``altlog`` and ``geom:r`` carry the one rule of
     ``_geometric_rule``, ``table:`` and custom series none.
 
-    ``term`` must be a pure function of n: ``reg_derivatives`` works out each
-    numeric v_k once per (series, c, method) and keeps it while the series
-    lives, in at most 64 tables per series, so a series whose terms change
-    later gets the earlier answer.
-    A ``series_custom`` also keeps its terms a_0..a_DEFAULT_TERMS after the
+    A ``series_custom`` keeps its terms a_0..a_DEFAULT_TERMS after the
     first read, so every engine over one such object reads them once.
     """
 
@@ -96,8 +92,9 @@ class SummationMethod:
         if self.tag not in ("classical", "cesaro", "abel", "exact"):
             raise ValueError(f"unknown summation method tag {self.tag!r}")
         if self.tag == "cesaro" and self.order != "auto":
-            if not isinstance(self.order, int) or self.order < 0:
-                raise ValueError("iterated-mean order must be a nonnegative int or 'auto'")
+            if not isinstance(self.order, int) or not 0 <= self.order <= MAX_ORDER_CAP:
+                raise ValueError(
+                    f"iterated-mean order must be an int in 0..{MAX_ORDER_CAP} or 'auto'")
         if not isinstance(self.k_max, int) or not 0 <= self.k_max <= MAX_ORDER_CAP:
             raise ValueError(f"order cap k_max must be an int in 0..{MAX_ORDER_CAP}")
         if not 0 < self.tol < math.inf:

@@ -19,7 +19,7 @@ from regsum.algebra import parse_polynomial
 from regsum.cli import MAX_DEGREE, MAX_EULER, MAX_ORDER, MAX_STEP_WORK, MAX_TERMS, main
 from regsum.operators import OperatorSpec, op_shift
 from regsum.regularize import reg_sum
-from regsum.summation import SummationMethod, parse_series, series_alt
+from regsum.summation import MAX_ORDER_CAP, SummationMethod, parse_series, series_alt
 
 
 def run(capsys, *argv):
@@ -301,6 +301,20 @@ def test_cesaro_bad_order(capsys):
     code, _, err = run(capsys, "cesaro", "--series", "alt", "--k", "soon")
     assert code == 1
     assert "--k" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("cesaro", "--series", "alt", "-N", "64", "--k"), "--k"),
+    (("sum", "--series", "alt", "--poly", "x", "--method"), "--method"),
+])
+def test_a_fixed_mean_order_is_capped(capsys, argv, flag):
+    value = "cesaro:{}" if flag == "--method" else "{}"
+    code, out, _ = run(capsys, *argv, value.format(MAX_ORDER_CAP), "-o", "json")
+    assert code != 1
+    assert json.loads(out)["method"] == f"cesaro:{MAX_ORDER_CAP}"
+    code, out, err = run(capsys, *argv, value.format(MAX_ORDER_CAP + 1))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {flag}:") and str(MAX_ORDER_CAP) in err
 
 
 def test_abel_subcommand(capsys):
@@ -628,6 +642,18 @@ def test_symbol_prints_coefficients_of_any_size(capsys, output):
         last = out.split(" + ")[-2].removesuffix("*t^1600")
     one, den = last.split("/")
     assert one == "1" and decimal_int(den) == math.factorial(1600)
+
+
+def test_symbol_order_cuts_a_longer_literal(capsys):
+    code, out, _ = run(capsys, "symbol", "symbol:[1,2,3]", "--order", "1")
+    assert (code, out.strip()) == (0, "1 + 2*t + O(t^2)")
+    # sum builds its operator to order 16 here, which the cut cannot reach
+    argv = ("sum", "--series", "alt", "--poly", "x^2", "-o", "json", "--op")
+    fitting = "symbol:[" + ",".join(f"1/{k + 1}" for k in range(17)) + "]"
+    longer = fitting[:-1] + ",5,7]"
+    code, out, _ = run(capsys, *argv, fitting)
+    assert code == 0
+    assert run(capsys, *argv, longer)[:2] == (0, out.replace(fitting, longer))
 
 
 def test_symbol_bad_literal(capsys):

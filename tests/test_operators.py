@@ -151,6 +151,8 @@ def test_parse_symbol_form_pads_to_order():
     assert op.symbol.order == 6
     assert op == op_diff(order=6)
     assert parse_operator("symbol:[1/2,1/2]").constant == Fraction(1, 2)
+    # a longer literal is cut to the order
+    assert parse_operator("symbol:[1,2,3]", order=1).symbol.coeffs == (1, 2)
 
 
 def test_parse_symbol_matches_shift():

@@ -32,10 +32,11 @@ from regsum.regularize import (
     reg_operator,
     reg_sum,
 )
-from regsum.regularize import _derivative_blocks, _derivative_table, _reduced_values
+from regsum.regularize import _derivative_blocks, _reduced_values
 from regsum.summation import (
     ConvergenceReport,
     LogValue,
+    SeriesSpec,
     SummationMethod,
     cauchy_product,
     cesaro_auto,
@@ -193,9 +194,7 @@ def test_numeric_leg_holds_one_block():
     # A custom copy of altlog's terms has no closed form; at degree 0 its
     # v_0 at c = 1 is the one numeric leg, and its block of 4001 ints over
     # lcm(1..4000) is about 3 MB, so a second live copy of it would cross
-    # the bound.  Each run sums a fresh series, whose derivative table is
-    # empty, so the leg is really summed; the Cesaro and the Abel leg both
-    # read the block.
+    # the bound.  The Cesaro and the Abel leg both read the block.
     for method in (CESARO, SummationMethod("abel")):
         tracemalloc.start()
         try:
@@ -235,7 +234,7 @@ def test_k_max_validation():
     with pytest.raises(ValueError):
         reg_derivatives(ALT, 1, CESARO, -1)
     # a negative order cap fails when the method is built, before it can
-    # key a derivative table or reach the engine
+    # reach the engine
     with pytest.raises(ValueError, match="k_max"):
         reg_derivatives(series_geometric(-1), 1,
                         SummationMethod("cesaro", order="auto", k_max=-1, n_max=64), 0)
@@ -244,7 +243,7 @@ def test_k_max_validation():
 
 
 # ---------------------------------------------------------------------------
-# derivative tables kept per (series, c, method)
+# repeated calls
 
 TABLE_METHODS = [
     SummationMethod("classical"),
@@ -310,23 +309,33 @@ def test_a_repeated_sum_reads_no_terms():
     reads.clear()
     assert reg_sum(f, T, P, 0, method) == first
     assert reads == []
-    # The series keeps its terms, so the tables below grow without reads.
-    table = _derivative_table(f, Fraction(1), method)
-    assert len(table.legs) == 3
+    # The series keeps its terms, so a deeper order and a looser tol read none.
     reg_sum(f, T, parse_polynomial("x^3"), 0, method)
-    assert len(table.legs) == 4, "a deeper order extends the table"
-    looser = SummationMethod("cesaro", order="auto", n_max=400, tol=2e-3)
-    reg_sum(f, T, P, 0, looser)
-    assert _derivative_table(f, Fraction(1), looser) is not table
-    assert len(_derivative_table(f, Fraction(1), looser).legs) == 3, \
-        "a method differing only in tol keys its own table"
+    reg_sum(f, T, P, 0, SummationMethod("cesaro", order="auto", n_max=400, tol=2e-3))
     assert reads == []
+
+
+def test_a_sum_reads_the_terms_as_they_are_now():
+    # A plain SeriesSpec reads its terms on every call, so once the list
+    # behind them changes, the next sum is that of the changed series.
+    def over(values):
+        return SeriesSpec(lambda n: values[n] if n < len(values) else Fraction(0))
+
+    values = [Fraction(1), Fraction(-1, 2), Fraction(1, 3)]
+    f = over(values)
+    T, P = op_shift(1), parse_polynomial("x^2+1")
+    method = SummationMethod("cesaro", order="auto", n_max=400)
+    before = reg_sum(f, T, P, 0, method)
+    values[1] = Fraction(5)
+    after = reg_sum(f, T, P, 0, method)
+    assert after[0] != before[0]
+    assert after == reg_sum(over(list(values)), T, P, 0, method)
 
 
 @pytest.mark.parametrize("name", ["geom:-1", "altlog"])
 def test_a_table_keeps_only_its_per_order_results(name):
-    # The table of a fresh series is kept after the call; the integer block
-    # (about 3 MB for altlog's numeric v_0) and the a_n memo must not be.
+    # The integer block (about 3 MB for altlog's numeric v_0) and the a_n
+    # memo must not outlive the call.
     f = parse_with_numeric_v0(name)
     T, P = op_shift(1), parse_polynomial("x^3")
     gc.collect()
@@ -343,10 +352,8 @@ def test_a_table_keeps_only_its_per_order_results(name):
 
 
 def test_dropped_products_leave_no_tables():
-    # Each product is a series_custom of 4,001 kept terms with a numeric
-    # table; the tables hold their series weakly, so once the product cache
-    # lets go of the products nothing of them stays (1.8 MB did while the
-    # tables held them).
+    # Each product is a series_custom of 4,001 kept terms; once the product
+    # cache lets go of the products nothing of them stays.
     method = SummationMethod("cesaro", order="auto")
     cauchy_product.cache_clear()
     gc.collect()
@@ -363,18 +370,6 @@ def test_dropped_products_leave_no_tables():
     finally:
         tracemalloc.stop()
     assert after - before < 64_000, after - before
-
-
-def test_a_series_keeps_its_64_latest_tables():
-    f = series_table(["1", "1/2"])
-    first = _derivative_table(f, Fraction(1), CESARO)
-    kept = _derivative_table(f, Fraction(2), CESARO)
-    for i in range(3, 66):
-        _derivative_table(f, Fraction(i), CESARO)
-        assert _derivative_table(f, Fraction(2), CESARO) is kept
-    assert _derivative_table(f, Fraction(1), CESARO) is not first
-    # an equal series shares the tables; they are dropped with the series
-    assert _derivative_table(dataclasses.replace(f), Fraction(2), CESARO) is kept
 
 
 # ---------------------------------------------------------------------------

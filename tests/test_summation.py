@@ -19,6 +19,7 @@ from regsum.summation import (
     NotConvergedError,
     SeriesSpec,
     DEFAULT_TERMS,
+    MAX_ORDER_CAP,
     SummationMethod,
     abel_limit,
     cauchy_product,
@@ -264,6 +265,15 @@ def test_method_validation():
         SummationMethod("cesaro", order=-1)
     with pytest.raises(ValueError):
         SummationMethod("cesaro", order="fast")
+
+
+def test_a_fixed_order_is_capped():
+    # k_max's cap bounds a fixed order too; nothing above it is ever run
+    assert SummationMethod("cesaro", order=MAX_ORDER_CAP).describe() == f"cesaro:{MAX_ORDER_CAP}"
+    with pytest.raises(ValueError, match="order"):
+        SummationMethod("cesaro", order=MAX_ORDER_CAP + 1)
+    with pytest.raises(ValueError, match="order"):
+        cesaro_limit(ALT, MAX_ORDER_CAP + 1)
 
 
 def test_report_json_dict():
