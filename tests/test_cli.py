@@ -357,15 +357,19 @@ def test_abel_terms_bound_the_scan(capsys):
     assert code == 2
     assert payload["request"]["n_max"] == 20
     assert payload["terms_used"] == 0 and payload["converged"] is False
-    code, out, _ = run(capsys, "abel", "--series", "geom:1/2", "-N", "7680", "-o", "json")
-    assert code == 0 and strict_json(out)["terms_used"] == 7681
+    # geom:1/2 settles at 3,841 terms; a bound below that stops at 2,717.
+    code, out, _ = run(capsys, "abel", "--series", "geom:1/2", "-N", "3839", "-o", "json")
+    assert code == 0 and strict_json(out)["terms_used"] == 2717
     code, out, _ = run(capsys, "abel", "--series", "geom:1/2", "-o", "json")
     assert code == 0 and strict_json(out)["terms_used"] == 3841
+    # geom:4/5 needs 21,724 terms; the default budget stops it at 3,841.
+    code, out, _ = run(capsys, "abel", "--series", "geom:4/5", "-o", "json")
+    assert code == 2 and strict_json(out)["terms_used"] == 3841
 
 
 def test_sum_abel_method_reads_the_term_budget(capsys, tmp_path):
     # A table of degree 2 has no closed form, and its three legs settle at
-    # the fourth point (3,841 terms each); -N 500 allows only one point.
+    # the fourth point (1,359 terms each); -N 500 allows only one point.
     path = tmp_path / "quadratic.json"
     path.write_text(json.dumps(["1", "-1/2", "1/3"]))
     series = f"table:@{path}"
@@ -375,7 +379,18 @@ def test_sum_abel_method_reads_the_term_budget(capsys, tmp_path):
     code, out, _ = run(capsys, "sum", "--series", series, "--poly", "x^2 + 1",
                        "--method", "abel", "-o", "json")
     payload = strict_json(out)
-    assert code == 0 and payload["terms_used"] == 3 * 3841
+    assert code == 0 and payload["terms_used"] == 3 * 1359
+
+
+def test_sum_abel_settles_a_finite_table(capsys, tmp_path):
+    # The finite sum 1/12 settles inside the default budget.
+    path = tmp_path / "five.json"
+    path.write_text(json.dumps(["1/2", "-3", "5/6", "0", "7/4"]))
+    code, out, _ = run(capsys, "sum", "--series", f"table:@{path}", "--poly", "1",
+                       "--method", "abel", "-o", "json")
+    payload = strict_json(out)
+    assert code == 0 and payload["converged"] is True
+    assert abs(payload["value_float"] - 1 / 12) <= payload["request"]["tol"]
 
 
 @pytest.mark.parametrize("output", ["text", "json"])

@@ -3,6 +3,7 @@
 import gc
 import json
 import math
+import random
 import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -10,9 +11,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from regsum.algebra import ParseError, parse_polynomial
+from regsum.algebra import ParseError, Polynomial, parse_polynomial
+from regsum.checks import _normalized_alt_instance
 from regsum.operators import op_shift
-from regsum.regularize import reg_sum
+from regsum.regularize import euler_alt_sum, reg_sum
 from regsum.summation import (
     ConvergenceReport,
     LogValue,
@@ -186,6 +188,8 @@ def test_geometric_rule_matches_both_engines(r, lag, c):
     for k in range(5):
         value = hook(k, c, SummationMethod("cesaro"))
         j = k - lag
+        if j >= 0:
+            assert value == math.factorial(j) * r ** j / (1 - r * c) ** (j + 1)
         reference = series_custom(
             lambda n, k=k: Fraction(0) if n < k
             else f.term(n) * falling_factorial_value(n, k) * c ** (n - k))
@@ -676,16 +680,16 @@ def test_abel_terms_beyond_float_range_end_the_scan(ratio):
 
 
 def test_abel_term_budget_bounds_the_scan():
-    # The default schedule reads 481, 961, 1921, 3841, 7681, ... terms.
+    # The default schedule reads 481, 680, 961, 1359, 1921, 2717, 3841, ... terms.
     none = abel_limit(ALT, max_terms=20)
     assert not none.converged and none.terms_used == 0
     assert math.isnan(none.value) and none.residual == math.inf
-    two = abel_limit(ALT, max_terms=1000)
-    assert not two.converged and two.terms_used == 961
+    three = abel_limit(ALT, max_terms=1000)
+    assert not three.converged and three.terms_used == 961
     assert abel_limit(ALT, max_terms=3840) == abel_limit(ALT)
     half = series_geometric(Fraction(1, 2))
-    assert abel_limit(half).terms_used == 7681
-    assert abel_limit(half, max_terms=7679).terms_used == 3841
+    assert abel_limit(half).terms_used == 3841
+    assert abel_limit(half, max_terms=3839).terms_used == 2717
     bounded = evaluate(half, SummationMethod("abel", n_max=4000))
     assert bounded == abel_limit(half, max_terms=4000)
 
@@ -703,6 +707,60 @@ def test_abel_custom_schedule():
     r = abel_limit(ALT, schedule=[0.75, 0.8125, 0.875, 0.90625, 0.9375])
     assert r.converged
     assert abs(r.value - 0.5) <= 1e-3
+
+
+def test_abel_settles_a_degree_6_alternating_direct_sum():
+    # sum (-1)^n P(x + nh) with P = (x^6 - 3x^2 + 1/2)/371, h = -3/2, x = 2,
+    # scaled as checks._normalized_alt_instance scales it.  The float-noise
+    # guard ends this scan before 2,000 terms, so the schedule must give two
+    # extrapolants by then.
+    p = parse_polynomial("x^6 - 3*x^2 + 1/2") * Fraction(1, 371)
+    h, x = Fraction(-3, 2), Fraction(2)
+    r = abel_limit(series_custom(lambda n: (-1) ** n * p(x + n * h)))
+    assert r.converged
+    assert abs(r.value - float(euler_alt_sum(p, h, x))) <= r.method_used.tol
+
+
+def _abel_honesty_grid():
+    """(label, series, exact sum) for the families the power boundary meets:
+    alternating direct sums at degrees 0..6 on normalized instances, custom
+    copies of geom:r, finite tables, (-1)^n n^m and altlog."""
+    rng = random.Random(15)
+    grid = []
+    for deg in range(7):
+        for _ in range(10):
+            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(deg)]
+            lead = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5))
+            h = Fraction(rng.randint(-8, 8) or 3, rng.randint(1, 4))
+            x = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            p = _normalized_alt_instance(Polynomial(coeffs + [lead]), h, x)
+            grid.append((f"alt deg {deg}",
+                         series_custom(lambda n, p=p, h=h, x=x: (-1) ** n * p(x + n * h)),
+                         euler_alt_sum(p, h, x)))
+    for r in map(Fraction, ("-1", "-99/100", "-1/2", "1/2", "2/3", "9/10")):
+        grid.append((f"geom:{r}", series_custom(series_geometric(r).term), 1 / (1 - r)))
+    for _ in range(30):
+        values = [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                  for _ in range(rng.randint(1, 8))]
+        grid.append((f"table {values}", series_table(values), sum(values)))
+    for m in range(6):
+        grid.append((f"(-1)^n n^{m}", series_custom(lambda n, m=m: Fraction((-1) ** n * n ** m)),
+                     euler_alt_sum(parse_polynomial(f"x^{m}"), 1, 0)))
+    grid.append(("altlog", series_alt_log(), math.log(2)))
+    return grid
+
+
+@pytest.mark.parametrize("max_terms", [None, DEFAULT_TERMS])
+def test_abel_converged_answers_lie_within_tol(max_terms):
+    # A denser schedule gives more chances for two extrapolants to agree by
+    # accident; no converged report may be further than tol from the sum.
+    reports = [(label, abel_limit(series, max_terms=max_terms), float(exact))
+               for label, series, exact in _abel_honesty_grid()]
+    misses = [(label, r.value, exact) for label, r, exact in reports
+              if r.converged and not abs(r.value - exact) <= r.method_used.tol]
+    assert misses == []
+    if max_terms is None:
+        assert all(r.converged for _, r, _ in reports)
 
 
 # ---------------------------------------------------------------------------
