@@ -5,7 +5,8 @@ Subcommands: sum (regularized operator series against a polynomial), euler
 literal), symbol (print an operator's series), check (named invariant
 suites).  Exit codes: 0 success, 1 argument or literal parse error (or a
 value above its cap), 2 regularization or budget failure (including failed
-check suites).
+check suites).  Each subcommand imports the modules it runs when it runs,
+so a cold ``euler`` or ``symbol`` never loads the numeric engines.
 """
 
 from __future__ import annotations
@@ -20,25 +21,7 @@ from functools import partial
 from typing import Optional, Sequence
 
 from .algebra import ParseError, _decimal, parse_polynomial
-from .operators import op_shift, parse_operator
-from .summation import (
-    DEFAULT_TERMS,
-    MAX_ORDER_CAP,
-    LogValue,
-    NotConvergedError,
-    SummationMethod,
-    _sig12,
-    abel_limit,
-    cesaro_auto,
-    cesaro_limit,
-    parse_series,
-)
-from .regularize import (
-    InexactDataError,
-    NotRegularError,
-    euler_numbers,
-    reg_sum,
-)
+from .budgets import DEFAULT_TERMS, DEFAULT_TOL, MAX_ORDER_CAP
 
 ENV_TERMS = "REGSUM_TERMS"
 
@@ -98,7 +81,9 @@ def _mean_order(text: str, flag: str) -> int:
     return k
 
 
-def _parse_method(text: str, args: argparse.Namespace) -> SummationMethod:
+def _parse_method(text: str, args: argparse.Namespace):
+    from .summation import SummationMethod
+
     text = text.strip()
     if text in _METHODS:
         name, order = _METHODS[text]
@@ -114,14 +99,16 @@ def _parse_method(text: str, args: argparse.Namespace) -> SummationMethod:
 
 def _check_budget(args: argparse.Namespace) -> None:
     """Resolve the term budget (--terms, else $REGSUM_TERMS, else the
-    default) into args.n_max, so the request echo shows the budget used,
-    and check it and --tol."""
+    default) into args.n_max and --tol into args.tol, so the request echo
+    shows the budget used, and check both."""
     source = "--terms"
     if args.n_max is None:
         source, env = ENV_TERMS, os.environ.get(ENV_TERMS)
         args.n_max = _literal(int, env, ENV_TERMS) if env else DEFAULT_TERMS
     if not 16 <= args.n_max <= MAX_TERMS:
         raise CliError(f"{source}: need 16..{MAX_TERMS} terms, got {args.n_max}")
+    if args.tol is None:
+        args.tol = DEFAULT_TOL
     if not 0 < args.tol < math.inf:
         raise CliError("--tol: must be positive and finite")
 
@@ -175,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", "-o", choices=("text", "json"), default="text")
         p.add_argument("--terms", "-N", dest="n_max", metavar="TERMS", type=int, default=None,
                        help=f"term budget (default {DEFAULT_TERMS}; env {ENV_TERMS} overrides)")
-        p.add_argument("--tol", type=float, default=1e-3)
+        p.add_argument("--tol", type=float, default=None)
         if series:
             p.add_argument("--series", required=True,
                            help="alt | altlog | geom:p/q | table:@file.json")
@@ -229,6 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_sum(args: argparse.Namespace) -> int:
+    from .operators import op_shift, parse_operator
+    from .regularize import NotRegularError, reg_sum
+    from .summation import LogValue, _sig12, parse_series
+
     _check_budget(args)
     poly = _literal(partial(parse_polynomial, max_degree=MAX_DEGREE), args.polynomial, "--poly")
     x = _literal(Fraction, args.x, "--x")
@@ -281,6 +272,8 @@ def cmd_sum(args: argparse.Namespace) -> int:
 
 
 def cmd_euler(args: argparse.Namespace) -> int:
+    from .power_series import euler_numbers
+
     if args.n_max < 0:
         raise CliError("n_max: must be a nonnegative integer")
     if args.n_max > MAX_EULER:
@@ -291,6 +284,8 @@ def cmd_euler(args: argparse.Namespace) -> int:
 
 
 def cmd_cesaro(args: argparse.Namespace) -> int:
+    from .summation import cesaro_auto, cesaro_limit, parse_series
+
     _check_budget(args)
     series = _literal(parse_series, args.series, "--series")
     if args.order == "auto":
@@ -303,6 +298,8 @@ def cmd_cesaro(args: argparse.Namespace) -> int:
 
 
 def cmd_abel(args: argparse.Namespace) -> int:
+    from .summation import abel_limit, parse_series
+
     _check_budget(args)
     series = _literal(parse_series, args.series, "--series")
     report = abel_limit(series, tol=args.tol, max_terms=args.n_max)
@@ -311,6 +308,8 @@ def cmd_abel(args: argparse.Namespace) -> int:
 
 
 def cmd_symbol(args: argparse.Namespace) -> int:
+    from .operators import parse_operator
+
     order = _literal(int, args.order, "--order")
     if order < 0:
         raise CliError(f"--order: must be nonnegative, got {order}")
@@ -338,6 +337,20 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 
+# Budget failures that exit 2, as (module, class name).  Only a loaded
+# module can have raised one, so main never imports a module to catch it.
+_BUDGET_ERRORS = (
+    ("regularize", "NotRegularError"),
+    ("regularize", "InexactDataError"),
+    ("summation", "NotConvergedError"),
+)
+
+
+def _budget_errors() -> tuple[type, ...]:
+    loaded = [(sys.modules.get(f"{__package__}.{module}"), name)
+              for module, name in _BUDGET_ERRORS]
+    return tuple(getattr(module, name) for module, name in loaded if module is not None)
+
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
@@ -346,7 +359,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (CliError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (NotRegularError, InexactDataError, NotConvergedError) as exc:
+    except _budget_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_REGULAR
 

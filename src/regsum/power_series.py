@@ -3,11 +3,13 @@
 A series carries its coefficients for t^0..t^order plus the explicit
 truncation order; nothing beyond the order is known or claimed.  Arithmetic
 propagates orders pessimistically (the min of the operands), and this module
-never touches floats: numeric evaluation lives elsewhere.
+never touches floats: numeric evaluation lives elsewhere.  The zigzag
+integers E_k = k! [t^k] 1/cosh t are read off a series inverse here too.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -277,3 +279,51 @@ def cosh_series(order: int) -> PowerSeries:
         if n % 2 == 0:
             out[n] = Fraction(1, fact)
     return PowerSeries(out)
+
+
+class EulerTable:
+    """Zigzag integers E_0..E_n from the reciprocal cosh expansion; an
+    immutable value compared, hashed and shown by its values."""
+
+    def __init__(self, values: tuple[int, ...]):
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.values == other.values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.values,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(values={self.values!r})"
+
+    def __getitem__(self, k: int) -> int:
+        return self.values[k]
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def to_json_list(self) -> list[str]:
+        return [str(v) for v in self.values]
+
+
+def euler_numbers(n_max: int) -> EulerTable:
+    """E_k = k! times the t^k coefficient of 1/cosh t, exact integers."""
+    if n_max < 0:
+        raise ValueError("n_max must be nonnegative")
+    inv = cosh_series(n_max).inverse()
+    values = []
+    for k in range(n_max + 1):
+        v = inv.coeffs[k] * math.factorial(k)
+        if v.denominator != 1:
+            raise ArithmeticError(f"zigzag coefficient {k} is not an integer: {v}")
+        values.append(v.numerator)
+    return EulerTable(tuple(values))

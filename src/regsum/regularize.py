@@ -21,7 +21,8 @@ from typing import Iterator, Optional, Union
 
 from .algebra import Polynomial, RationalLike, as_rational
 from .operators import OperatorSpec
-from .power_series import OrderExceededError, PowerSeries, cosh_series
+# EulerTable and euler_numbers are re-exported from their home in power_series.
+from .power_series import EulerTable, OrderExceededError, PowerSeries, euler_numbers
 from .summation import (
     ConvergenceReport,
     LogValue,
@@ -70,22 +71,6 @@ class RegularizedDerivatives:
     @property
     def is_exact(self) -> bool:
         return all(isinstance(v, Fraction) for v in self.values)
-
-
-@dataclass(frozen=True)
-class EulerTable:
-    """Zigzag integers E_0..E_n from the reciprocal cosh expansion."""
-
-    values: tuple[int, ...]
-
-    def __getitem__(self, k: int) -> int:
-        return self.values[k]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def to_json_list(self) -> list[str]:
-        return [str(v) for v in self.values]
 
 
 def reg_derivatives(
@@ -305,20 +290,6 @@ def reg_sum(
         provenance="+".join(sorted(set(derivs.provenance))),
     )
     return total, report
-
-
-def euler_numbers(n_max: int) -> EulerTable:
-    """E_k = k! times the t^k coefficient of 1/cosh t, exact integers."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    inv = cosh_series(n_max).inverse()
-    values = []
-    for k in range(n_max + 1):
-        v = inv.coeffs[k] * math.factorial(k)
-        if v.denominator != 1:
-            raise ArithmeticError(f"zigzag coefficient {k} is not an integer: {v}")
-        values.append(v.numerator)
-    return EulerTable(tuple(values))
 
 
 def euler_alt_sum(P: Polynomial, h: RationalLike, x: RationalLike) -> Fraction:

@@ -22,11 +22,7 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
 
 from .algebra import ParseError, RationalLike, as_rational, format_rational
-
-DEFAULT_TERMS = 4000
-DEFAULT_TOL = 1e-3
-DEFAULT_ORDER_CAP = 8
-MAX_ORDER_CAP = 12
+from .budgets import DEFAULT_ORDER_CAP, DEFAULT_TERMS, DEFAULT_TOL, MAX_ORDER_CAP
 
 # Per-point truncation so the dropped geometric tail is below e^-60.
 ABEL_TAIL_EXPONENT = 60.0

@@ -56,3 +56,25 @@ def test_traced_attributes_resolve():
     missing = [f"{owner.__name__}.{attr}" for owner, attrs in TRACED
                for attr in attrs if not hasattr(owner, attr)]
     assert missing == []
+
+
+def test_package_names_resolve_live(monkeypatch):
+    # The package keeps no copy of a name, so a function swapped in its
+    # module (as the tracer does) is what the package gives, until undone.
+    original = regularize.reg_sum
+
+    def fake(*args):
+        raise AssertionError("not called")
+
+    monkeypatch.setattr(regularize, "reg_sum", fake)
+    assert regsum.reg_sum is fake
+    monkeypatch.undo()
+    assert regsum.reg_sum is original
+
+
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from regsum import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(regsum.__all__)
+    assert all(namespace[name] is getattr(regsum, name) for name in regsum.__all__)

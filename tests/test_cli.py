@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from regsum import checks, regularize, summation
+from regsum import checks, cli, regularize, summation
 from regsum.algebra import parse_polynomial
 from regsum.cli import MAX_DEGREE, MAX_EULER, MAX_ORDER, MAX_STEP_WORK, MAX_TERMS, main
 from regsum.operators import OperatorSpec, op_shift
@@ -769,12 +769,61 @@ def test_check_reports_a_broken_invariant(capsys, monkeypatch, suite):
     assert any(failing in line for line in payload["log"])
 
 
-def test_only_check_loads_the_suites():
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
+# A cold interpreter runs a statement, then main on the arguments when there
+# are any, and prints, last, the regsum modules and dataclasses it holds.
+LOADED_PROBE = """
+import sys
+{statement}
+if sys.argv[1:]:
+    regsum.cli.main(sys.argv[1:])
+print(*sorted(m for m in sys.modules if m.startswith("regsum.") or m == "dataclasses"))
+"""
+LOADS_CLI = {"regsum.algebra", "regsum.budgets", "regsum.cli"}
+LOADS_ENGINES = {"regsum.summation", "dataclasses"}
+LOADS_EXACT = {"regsum.power_series", "regsum.operators", "regsum.regularize"}
+
+
+@pytest.mark.parametrize("statement, argv, loaded", [
+    ("import regsum", (), set()),
+    ("import regsum; regsum.summation", (),
+     {"regsum.algebra", "regsum.budgets", "regsum.summation", "dataclasses"}),
+    ("import regsum.cli", (), LOADS_CLI),
+    ("import regsum.cli", ("symbol", "diff", "--order", "4"),
+     LOADS_CLI | {"regsum.power_series", "regsum.operators"}),
+    ("import regsum.cli", ("euler", "5"), LOADS_CLI | {"regsum.power_series"}),
+    ("import regsum.cli", ("cesaro", "--series", "alt", "-N", "100"), LOADS_CLI | LOADS_ENGINES),
+    ("import regsum.cli", ("abel", "--series", "alt"), LOADS_CLI | LOADS_ENGINES),
+    ("import regsum.cli", ("sum", "--series", "alt", "--poly", "x"),
+     LOADS_CLI | LOADS_ENGINES | LOADS_EXACT),
+], ids=["import", "submodule", "import-cli", "symbol", "euler", "cesaro", "abel", "sum"])
+def test_only_check_loads_the_suites(statement, argv, loaded):
+    # Each command loads only the modules it runs: symbol and euler no
+    # numeric engine (nor dataclasses), cesaro and abel no exact reduction,
+    # and only check loads the suites.
+    env = {k: v for k, v in os.environ.items() if k != "REGSUM_TERMS"}
+    env["PYTHONPATH"] = str(SRC)
     proc = subprocess.run(
-        [sys.executable, "-c", "import regsum.cli, sys; print('regsum.checks' in sys.modules)"],
+        [sys.executable, "-c", LOADED_PROBE.format(statement=statement), *argv],
         env=env, capture_output=True, text=True, timeout=120)
-    assert (proc.returncode, proc.stdout) == (0, "False\n")
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.splitlines()[-1].split()) == loaded
+
+
+@pytest.mark.parametrize("error", [
+    regularize.NotRegularError("did not settle"),
+    regularize.InexactDataError("numeric values in an exact construction"),
+    summation.NotConvergedError("did not converge"),
+], ids=lambda exc: type(exc).__name__)
+def test_budget_errors_exit_2(capsys, monkeypatch, error):
+    # Raised from a command whose own body loads neither regularize nor
+    # summation: main maps the error by its class alone.
+    def body(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_euler", body)
+    code, out, err = run(capsys, "euler", "3")
+    assert (code, out) == (2, "")
+    assert err == f"error: {error}\n"
 
 
 def test_check_unknown_suite(capsys):

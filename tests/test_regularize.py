@@ -823,6 +823,16 @@ def test_euler_numbers_validation_and_export():
         euler_numbers(-1)
     assert euler_numbers(2).to_json_list() == ["1", "0", "-1"]
     assert isinstance(euler_numbers(0), EulerTable)
+    # an immutable value: equal, hashed and shown by its values
+    table = euler_numbers(2)
+    assert table == EulerTable((1, 0, -1)) and table != euler_numbers(3)
+    assert table != (1, 0, -1)
+    assert hash(table) == hash(EulerTable((1, 0, -1)))
+    assert repr(table) == "EulerTable(values=(1, 0, -1))"
+    with pytest.raises(AttributeError):
+        table.values = (1,)
+    with pytest.raises(AttributeError):
+        del table.values
 
 
 def test_euler_alt_sum_constant_is_half():
