@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 Rational = Fraction
 
@@ -152,15 +152,8 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
-            if self.is_zero or other.is_zero:
-                return Polynomial()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Polynomial(out)
+            a, b = self.coeffs, other.coeffs
+            return Polynomial(_convolve(a, b, len(a) + len(b) - 1))
         c = as_rational(other)
         return Polynomial([c * a for a in self.coeffs])
 
@@ -183,22 +176,42 @@ class Polynomial:
         h = as_rational(h)
         if h == 0:
             return self
-        acc = Polynomial()
-        term = self
-        hn = Fraction(1)  # h^n / n!
-        n = 0
-        while not term.is_zero:
-            acc = acc + hn * term
-            term = term.derivative()
-            n += 1
-            hn = hn * h / n
-        return acc
+        weights = [Fraction(1)]  # h^n / n!
+        for n in range(1, len(self.coeffs)):
+            weights.append(weights[-1] * h / n)
+        return _derivative_sum(self, weights)
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"
 
     def __str__(self) -> str:
         return format_polynomial(self)
+
+
+def _convolve(a: Sequence[Fraction], b: Sequence[Fraction], size: int) -> list[Fraction]:
+    """The first ``size`` coefficients of the product of the coefficient
+    sequences a and b (ascending powers); zero entries are skipped."""
+    out = [Fraction(0)] * size
+    for i, x in enumerate(a[:size]):
+        if x:
+            for j, y in enumerate(b[:size - i]):
+                if y:
+                    out[i + j] += x * y
+    return out
+
+
+def _derivative_sum(p: Polynomial, weights: Iterable[Fraction]) -> Polynomial:
+    """sum_n weights[n] P^(n), read until the derivatives of P vanish; a
+    zero weight is skipped.  ``weights`` must reach deg P."""
+    acc = Polynomial()
+    term = p
+    for w in weights:
+        if term.is_zero:
+            break
+        if w != 0:
+            acc = acc + w * term
+        term = term.derivative()
+    return acc
 
 
 def falling_factorial_poly(k: int) -> Polynomial:
@@ -329,24 +342,27 @@ def format_rational(q: Fraction) -> str:
     return f"{_decimal(q.numerator)}/{_decimal(q.denominator)}"
 
 
-def format_polynomial(p: Polynomial) -> str:
-    """Canonical text form, descending powers; parses back to the same value."""
-    if p.is_zero:
-        return "0"
+def _terms_text(terms: Iterable[tuple[int, Fraction]], var: str) -> str:
+    """The nonzero (power, c) terms, in the order given, as ``c*var^power``
+    joined by `` + `` and `` - ``; a unit coefficient is left out.  "0" when
+    every term is zero."""
     parts = []
-    for power in range(len(p.coeffs) - 1, -1, -1):
-        c = p.coeffs[power]
+    for power, c in terms:
         if c == 0:
             continue
-        sign = "-" if c < 0 else "+"
         mag = abs(c)
-        if power == 0:
-            body = format_rational(mag)
-        else:
-            xpart = "x" if power == 1 else f"x^{power}"
-            body = xpart if mag == 1 else f"{format_rational(mag)}*{xpart}"
-        if not parts:
-            parts.append(body if sign == "+" else f"-{body}")
-        else:
-            parts.append(f" {sign} {body}")
-    return "".join(parts)
+        body = format_rational(mag)
+        if power:
+            v = var if power == 1 else f"{var}^{power}"
+            body = v if mag == 1 else f"{body}*{v}"
+        if parts:
+            parts.append(" - " if c < 0 else " + ")
+        elif c < 0:
+            parts.append("-")
+        parts.append(body)
+    return "".join(parts) or "0"
+
+
+def format_polynomial(p: Polynomial) -> str:
+    """Canonical text form, descending powers; parses back to the same value."""
+    return _terms_text(reversed(list(enumerate(p.coeffs))), "x")

@@ -21,7 +21,14 @@ from functools import partial
 from typing import Optional, Sequence
 
 from .algebra import ParseError, _decimal, parse_polynomial
-from .budgets import DEFAULT_TERMS, DEFAULT_TOL, MAX_ORDER_CAP
+from .budgets import (
+    DEFAULT_TERMS,
+    DEFAULT_TOL,
+    MAX_ORDER_CAP,
+    InexactDataError,
+    NotConvergedError,
+    NotRegularError,
+)
 
 ENV_TERMS = "REGSUM_TERMS"
 
@@ -217,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cmd_sum(args: argparse.Namespace) -> int:
     from .operators import op_shift, parse_operator
-    from .regularize import NotRegularError, reg_sum
+    from .regularize import reg_sum
     from .summation import LogValue, _sig12, parse_series
 
     _check_budget(args)
@@ -337,20 +344,6 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------------------
 
-# Budget failures that exit 2, as (module, class name).  Only a loaded
-# module can have raised one, so main never imports a module to catch it.
-_BUDGET_ERRORS = (
-    ("regularize", "NotRegularError"),
-    ("regularize", "InexactDataError"),
-    ("summation", "NotConvergedError"),
-)
-
-
-def _budget_errors() -> tuple[type, ...]:
-    loaded = [(sys.modules.get(f"{__package__}.{module}"), name)
-              for module, name in _BUDGET_ERRORS]
-    return tuple(getattr(module, name) for module, name in loaded if module is not None)
-
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
@@ -359,7 +352,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (CliError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _budget_errors() as exc:
+    except (NotRegularError, InexactDataError, NotConvergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NOT_REGULAR
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import ParseError, Polynomial, RationalLike, as_rational
+from .algebra import ParseError, Polynomial, RationalLike, _derivative_sum, as_rational
 from .power_series import OrderExceededError, PowerSeries, exp_series
 
 DEFAULT_SYMBOL_ORDER = 16
@@ -41,22 +41,13 @@ class OperatorSpec:
 
     def apply(self, p: Polynomial) -> Polynomial:
         """Apply to a polynomial: sum of symbol coefficients times derivatives."""
-        if p.is_zero:
-            return Polynomial()
         deg = len(p.coeffs) - 1
         if self.symbol.order < deg:
             raise OrderExceededError(
                 f"symbol truncated at order {self.symbol.order} cannot act on degree {deg}; "
                 "rebuild the operator with a deeper symbol"
             )
-        acc = Polynomial()
-        term = p
-        for n in range(deg + 1):
-            c = self.symbol.coeffs[n]
-            if c != 0:
-                acc = acc + c * term
-            term = term.derivative()
-        return acc
+        return _derivative_sum(p, self.symbol.coeffs)
 
     def compose(self, other: "OperatorSpec") -> "OperatorSpec":
         """Operator composition; symbols multiply."""

@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .algebra import RationalLike, as_rational, format_rational
+from .algebra import RationalLike, _convolve, _terms_text, as_rational, format_rational
 
 DEFAULT_PADDING = 4
 
@@ -108,16 +108,7 @@ class PowerSeries:
     def __mul__(self, other) -> "PowerSeries":
         if isinstance(other, PowerSeries):
             n = min(self.order, other.order)
-            out = [Fraction(0)] * (n + 1)
-            for i in range(n + 1):
-                a = self.coeffs[i]
-                if a == 0:
-                    continue
-                for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if b != 0:
-                        out[i + j] += a * b
-            return PowerSeries(out)
+            return PowerSeries(_convolve(self.coeffs, other.coeffs, n + 1))
         c = as_rational(other)
         return PowerSeries([c * a for a in self.coeffs])
 
@@ -224,26 +215,7 @@ class PowerSeries:
         return f"PowerSeries({[str(c) for c in self.coeffs]})"
 
     def __str__(self) -> str:
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                body = format_rational(c)
-            else:
-                tpart = "t" if i == 1 else f"t^{i}"
-                if abs(c) == 1:
-                    body = tpart
-                else:
-                    body = f"{format_rational(abs(c))}*{tpart}"
-            if not parts:
-                parts.append(body if c > 0 or i == 0 else f"-{body}")
-            else:
-                parts.append(f" + {body}" if c > 0 else f" - {body}")
-        if not parts:
-            parts.append("0")
-        parts.append(f" + O(t^{self.order + 1})")
-        return "".join(parts)
+        return f"{_terms_text(enumerate(self.coeffs), 't')} + O(t^{self.order + 1})"
 
 
 def geometric_series(ratio: RationalLike, order: int) -> PowerSeries:

@@ -20,6 +20,8 @@ from fractions import Fraction
 from typing import Iterator, Optional, Union
 
 from .algebra import Polynomial, RationalLike, as_rational
+# The failures that exit 2 are re-exported from their home in budgets.
+from .budgets import InexactDataError, NotRegularError
 from .operators import OperatorSpec
 # EulerTable and euler_numbers are re-exported from their home in power_series.
 from .power_series import EulerTable, OrderExceededError, PowerSeries, euler_numbers
@@ -37,18 +39,6 @@ from .summation import (
 PROV_EXACT = "exact-closed-form"
 PROV_CESARO = "numeric-cesaro"
 PROV_ABEL = "numeric-abel"
-
-
-class NotRegularError(RuntimeError):
-    """A required regularized derivative failed to settle within budget."""
-
-    def __init__(self, message: str, report: Optional[ConvergenceReport] = None):
-        super().__init__(message)
-        self.report = report
-
-
-class InexactDataError(TypeError):
-    """An exact-only construction was fed numerically obtained values."""
 
 
 @dataclass

@@ -18,22 +18,19 @@ import math
 import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Optional, Sequence, Union
 
 from .algebra import ParseError, RationalLike, as_rational, format_rational
-from .budgets import DEFAULT_ORDER_CAP, DEFAULT_TERMS, DEFAULT_TOL, MAX_ORDER_CAP
+from .budgets import (
+    DEFAULT_ORDER_CAP,
+    DEFAULT_TERMS,
+    DEFAULT_TOL,
+    MAX_ORDER_CAP,
+    NotConvergedError,
+)
 
 # Per-point truncation so the dropped geometric tail is below e^-60.
 ABEL_TAIL_EXPONENT = 60.0
-
-
-class NotConvergedError(RuntimeError):
-    """A required numeric limit did not settle within its budget."""
-
-    def __init__(self, message: str, report: "ConvergenceReport | None" = None):
-        super().__init__(message)
-        self.report = report
 
 
 def falling_factorial_value(n: int, k: int) -> int:
@@ -118,7 +115,7 @@ class ConvergenceReport:
         non-finite value or residual as None (JSON null)."""
         out = {
             "value": _sig12(self.value),
-            "exact": str(self.exact) if self.exact is not None else None,
+            "exact": format_rational(self.exact) if self.exact is not None else None,
             "method": self.method_used.describe(),
             "order_used": self.order_used,
             "terms_used": self.terms_used,
@@ -349,23 +346,19 @@ def partial_sums(a: SeriesSpec) -> SeriesSpec:
     return SeriesSpec(term, kind="custom", label=f"sums({a.label})")
 
 
-@lru_cache(maxsize=4)
 def cauchy_product(a: SeriesSpec, b: SeriesSpec) -> SeriesSpec:
     """Coefficientwise product series: c_n = sum_i a_(n-i) b_i, exact.
 
     The convolution runs on each factor's numerators over its running
     common denominator, so an output term costs n + 1 int products and one
-    Fraction.  The triangle is still quadratic in the number of terms, so
-    results are cached per input pair and the returned series is a
-    ``series_custom``, which keeps its first terms; repeated evaluations at
-    increasing depth pay the triangle once.
+    Fraction.  The triangle is quadratic in the number of terms; the
+    returned series is a ``series_custom``, which keeps its first terms, so
+    repeated evaluations of one product at increasing depth pay it once.
 
-    The cache keeps the last 4 pairs.  An entry retains the product's terms
-    and both factors' numerators.  When term sizes grow at most linearly in
-    n, as for the built-in series, that is at most quadratic in the terms
-    read: ``altlog`` x ``alt`` retains 0.18 MB through n = 500 and 6.8 MB
-    through n = 4000.  For factors of that size a full cache holds under
-    48 MB (4 x (4000/500)^2 x 0.18 MB); factors with longer terms retain more.
+    A product retains its terms and both factors' numerators.  When term
+    sizes grow at most linearly in n, as for the built-in series, that is
+    at most quadratic in the terms read: ``altlog`` x ``alt`` retains
+    0.18 MB through n = 500 and 6.8 MB through n = 4000.
     """
     ta, tb = _IntTerms(a.term), _IntTerms(b.term)
 

@@ -170,6 +170,12 @@ def test_format_golden():
     assert format_polynomial(Polynomial()) == "0"
     assert format_polynomial(Polynomial([0, 1])) == "x"
     assert format_polynomial(Polynomial([0, -1])) == "-x"
+    assert format_polynomial(Polynomial(["-5/3"])) == "-5/3"
+    assert format_polynomial(Polynomial([-3, 2])) == "2*x - 3"
+    assert format_polynomial(Polynomial([5, -7])) == "-7*x + 5"
+    assert format_polynomial(Polynomial([0, 1, 0, -1])) == "-x^3 + x"
+    assert format_polynomial(Polynomial([-1, -1, 0, -1])) == "-x^3 - x - 1"
+    assert format_polynomial(Polynomial([1, 0, 0, 1])) == "x^3 + 1"
 
 
 @given(polys)

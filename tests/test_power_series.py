@@ -173,6 +173,12 @@ def test_strings_round_trip():
 
 def test_str_rendering():
     assert str(PowerSeries([1, "1/2", 0])) == "1 + 1/2*t + O(t^3)"
+    assert str(PowerSeries([-3, 2])) == "-3 + 2*t + O(t^2)"
+    assert str(PowerSeries([0, -2, 1])) == "-2*t + t^2 + O(t^3)"
+    assert str(PowerSeries([0, -1, 0, 1, "-3/4"])) == "-t + t^3 - 3/4*t^4 + O(t^5)"
+    assert str(PowerSeries([1, -1, 0, 1])) == "1 - t + t^3 + O(t^4)"
+    assert str(PowerSeries([-1, 1, -1])) == "-1 + t - t^2 + O(t^3)"
+    assert str(PowerSeries([0, 0, 0])) == "0 + O(t^3)"
 
 
 def test_working_order_padding():

@@ -352,10 +352,9 @@ def test_a_table_keeps_only_its_per_order_results(name):
 
 
 def test_dropped_products_leave_no_tables():
-    # Each product is a series_custom of 4,001 kept terms; once the product
-    # cache lets go of the products nothing of them stays.
+    # Each product is a series_custom of 4,001 kept terms; once the caller
+    # lets go of the products nothing of them stays.
     method = SummationMethod("cesaro", order="auto")
-    cauchy_product.cache_clear()
     gc.collect()
     tracemalloc.start()
     try:
@@ -364,7 +363,6 @@ def test_dropped_products_leave_no_tables():
             lhs, rhs = product_rule_check(series_table([Fraction(i + 1, 7)]),
                                           series_geometric(-1), 0, method)
             assert abs(lhs - rhs) <= 1e-3
-        cauchy_product.cache_clear()
         gc.collect()
         after, _ = tracemalloc.get_traced_memory()
     finally:

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from regsum.algebra import ParseError, Polynomial, parse_polynomial
+from regsum.algebra import ParseError, Polynomial, format_rational, parse_polynomial
 from regsum.checks import _normalized_alt_instance
 from regsum.operators import op_shift
 from regsum.regularize import euler_alt_sum, reg_sum
@@ -299,6 +299,16 @@ def test_report_json_dict():
     assert json.loads(rep.to_json()) == d
 
 
+def test_report_json_prints_an_exact_value_of_any_size():
+    # x^60 at 10^90: an integer of about 5,400 digits, past str()'s default
+    # limit of 4,300
+    value, rep = reg_sum(series_alt(), op_shift(1, 64), Polynomial.monomial(60),
+                         Fraction(10 ** 90), SummationMethod("exact"))
+    text = strict_loads(rep.to_json())["exact"]
+    assert len(text) > 4300
+    assert text == format_rational(value)
+
+
 # ---------------------------------------------------------------------------
 # prefix sums and products
 
@@ -389,26 +399,24 @@ def test_cauchy_product_refuses_float_terms():
         cauchy_product(ALT, floats).term(3)
 
 
-def test_cauchy_product_is_cached_per_pair():
-    assert cauchy_product(ALT, ALTLOG) is cauchy_product(ALT, ALTLOG)
-
-
 def test_cauchy_product_cache_stays_under_its_stated_bound():
-    # The docstring's bound for a full cache: maxsize entries of an altlog x
-    # alt product, each grown at most quadratically from n = 500 to 4000.
+    # The docstring's figures: an altlog x alt product, held here, grows at
+    # most quadratically from n = 500 to n = 4000, and four such products
+    # stay under 48 MB.
     a, b = series_alt_log(), series_alt()
     gc.collect()
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        cauchy_product(a, b).term(500)
+        prod = cauchy_product(a, b)
+        prod.term(500)
         gc.collect()
         after, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     retained = after - before
     assert retained > 0
-    assert cauchy_product.cache_info().maxsize * retained * (4000 / 500) ** 2 < 48e6, retained
+    assert 4 * retained * (4000 / 500) ** 2 < 48e6, retained
 
 
 # ---------------------------------------------------------------------------
