@@ -36,30 +36,38 @@ class ParseError(ValueError):
         self.position = position
 
 
-# The integer Horner form of the last polynomial evaluated:
-# (coeffs, A_d..A_0, L) with coeffs[i] = A_i / L.  It is keyed by the
-# identity of the coeffs tuple and holds that tuple, so the id cannot be
-# reused while the entry stands; it is replaced by one assignment, so a
-# reader sees a whole entry.  One entry, not one per polynomial, keeps memory
-# flat however many polynomials a caller holds.
-_last_form: tuple = ((), (), 1)
-
-
 class Polynomial:
-    """Dense polynomial in one variable over exact rationals.
+    """Dense polynomial in one variable over exact rationals, stored as int
+    numerators ``nums`` (ascending powers, trailing zeros trimmed) over one
+    denominator ``den`` > 0 with gcd(den, *nums) == 1, so equal polynomials
+    have equal stored forms.  Arithmetic runs on these ints and reduces each
+    result once.  The zero polynomial has no numerators and degree -inf."""
 
-    Coefficients are stored by ascending power with trailing zeros trimmed.
-    The zero polynomial has an empty coefficient list and degree -inf, so it
-    never collides with degree-0 constants.
-    """
-
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
-        cs = [as_rational(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        pairs = [as_rational(c).as_integer_ratio() for c in coeffs]
+        den = math.lcm(*[d for _, d in pairs])
+        self._store([n * (den // d) for n, d in pairs], den)
+
+    def _store(self, nums: list[int], den: int) -> "Polynomial":
+        """Set the form sum_i nums[i]/den x^i (den > 0), trimmed and reduced."""
+        while nums and not nums[-1]:
+            nums.pop()
+        g = math.gcd(den, *nums)
+        self.nums = tuple([n // g for n in nums])
+        self.den = den // g
+        return self
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as lowest-terms Fractions, built on each read."""
+        den = self.den
+        return tuple([Fraction(n, den) for n in self.nums])
+
+    @coeffs.setter
+    def coeffs(self, values: Iterable[RationalLike]) -> None:
+        Polynomial.__init__(self, values)
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -82,68 +90,55 @@ class Polynomial:
     @property
     def degree(self) -> float:
         """Degree as an int, or -inf for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INFINITY
+        return len(self.nums) - 1 if self.nums else NEG_INFINITY
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def coeff(self, power: int) -> Fraction:
         """Coefficient of x**power (zero beyond the stored degree)."""
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
+        if 0 <= power < len(self.nums):
+            return Fraction(self.nums[power], self.den)
         return Fraction(0)
 
     def __call__(self, x: RationalLike) -> Fraction:
-        """Evaluate exactly at a rational point by Horner's scheme on ints.
-
-        With the coefficients written as A_i / L over their common
-        denominator L and x = p/q, the value is
-        (sum_i A_i p^i q^(d-i)) / (L q^d); one Fraction is built at the end.
-        The A_i and L of the last polynomial evaluated are kept (see
-        ``_last_form``), so evaluating one polynomial at many points builds
-        them once.
-        """
-        global _last_form
+        """Exact value at x = p/q by Horner's scheme on ints:
+        (sum_i nums[i] p^i q^(d-i)) / (den q^d), one Fraction at the end."""
         p, q = as_rational(x).as_integer_ratio()
-        coeffs = self.coeffs
-        if not coeffs:
+        if not self.nums:
             return Fraction(0)
-        key, scaled, den = _last_form
-        if key is not coeffs:
-            pairs = [c.as_integer_ratio() for c in coeffs]
-            den = math.lcm(*[d for _, d in pairs])
-            scaled = tuple([a * (den // d) for a, d in reversed(pairs)])
-            _last_form = (coeffs, scaled, den)
-        terms = iter(scaled)
+        terms = reversed(self.nums)
         acc = next(terms)
         q_power = 1
         for a in terms:
             q_power *= q
             acc = acc * p + a * q_power
-        return Fraction(acc, den * q_power)
+        return Fraction(acc, self.den * q_power)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
+            return self.nums == other.nums and self.den == other.den
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        g = math.gcd(self.den, other.den)
+        a, sa, b, sb = self.nums, other.den // g, other.nums, self.den // g
+        den = self.den * sa
         if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+            a, sa, b, sb = b, sb, a, sa
+        out = [n * sa for n in a]
+        for i, n in enumerate(b):
+            out[i] += n * sb
+        return _poly(out, den)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coeffs])
+        return _poly([-n for n in self.nums], self.den)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -151,11 +146,12 @@ class Polynomial:
         return self + (-other)
 
     def __mul__(self, other) -> "Polynomial":
+        a = self.nums
         if isinstance(other, Polynomial):
-            a, b = self.coeffs, other.coeffs
-            return Polynomial(_convolve(a, b, len(a) + len(b) - 1))
-        c = as_rational(other)
-        return Polynomial([c * a for a in self.coeffs])
+            b = other.nums
+            return _poly(_convolve(a, b, len(a) + len(b) - 1), self.den * other.den)
+        n, d = as_rational(other).as_integer_ratio()
+        return _poly([n * c for c in a], self.den * d)
 
     __rmul__ = __mul__
 
@@ -169,7 +165,7 @@ class Polynomial:
 
     def derivative(self) -> "Polynomial":
         """d/dx, exact; drops the degree by one for nonconstant input."""
-        return Polynomial([i * c for i, c in enumerate(self.coeffs)][1:])
+        return _poly([i * n for i, n in enumerate(self.nums)][1:], self.den)
 
     def translate(self, h: RationalLike) -> "Polynomial":
         """Return P(x+h) via the Taylor expansion sum_n h^n/n! P^(n)(x)."""
@@ -177,21 +173,26 @@ class Polynomial:
         if h == 0:
             return self
         weights = [Fraction(1)]  # h^n / n!
-        for n in range(1, len(self.coeffs)):
+        for n in range(1, len(self.nums)):
             weights.append(weights[-1] * h / n)
         return _derivative_sum(self, weights)
 
     def __repr__(self) -> str:
-        return f"Polynomial({list(self.coeffs)!r})"
+        return f"Polynomial({[format_rational(c) for c in self.coeffs]})"
 
     def __str__(self) -> str:
         return format_polynomial(self)
 
 
-def _convolve(a: Sequence[Fraction], b: Sequence[Fraction], size: int) -> list[Fraction]:
+def _poly(nums: list[int], den: int) -> Polynomial:
+    """The polynomial sum_i nums[i]/den x^i (den > 0), reduced once."""
+    return Polynomial.__new__(Polynomial)._store(nums, den)
+
+
+def _convolve(a: Sequence, b: Sequence, size: int) -> list:
     """The first ``size`` coefficients of the product of the coefficient
-    sequences a and b (ascending powers); zero entries are skipped."""
-    out = [Fraction(0)] * size
+    sequences a and b (ascending, ints or Fractions); zeros are skipped."""
+    out = [0] * size
     for i, x in enumerate(a[:size]):
         if x:
             for j, y in enumerate(b[:size - i]):
@@ -201,17 +202,19 @@ def _convolve(a: Sequence[Fraction], b: Sequence[Fraction], size: int) -> list[F
 
 
 def _derivative_sum(p: Polynomial, weights: Iterable[Fraction]) -> Polynomial:
-    """sum_n weights[n] P^(n), read until the derivatives of P vanish; a
-    zero weight is skipped.  ``weights`` must reach deg P."""
-    acc = Polynomial()
-    term = p
-    for w in weights:
-        if term.is_zero:
-            break
-        if w != 0:
-            acc = acc + w * term
-        term = term.derivative()
-    return acc
+    """sum_n weights[n] P^(n) for n = 0..deg P (``weights`` must reach it),
+    on P's numerators with the weights over one common denominator."""
+    ratios = [w.as_integer_ratio() for w, _ in zip(weights, p.nums)]
+    common = math.lcm(*[d for _, d in ratios])
+    out = [0] * len(p.nums)
+    term = list(p.nums)  # numerators of P^(n), over p.den
+    for num, d in ratios:
+        if num:
+            scale = num * (common // d)
+            for i, t in enumerate(term):
+                out[i] += scale * t
+        term = [i * t for i, t in enumerate(term)][1:]
+    return _poly(out, p.den * common)
 
 
 def falling_factorial_poly(k: int) -> Polynomial:
@@ -317,10 +320,7 @@ def parse_polynomial(text: str, max_degree: int | None = None) -> Polynomial:
 
         coeffs[power] = coeffs.get(power, Fraction(0)) + sign * coeff
 
-    out = [Fraction(0)] * (max(coeffs) + 1)
-    for power, c in coeffs.items():
-        out[power] = c
-    return Polynomial(out)
+    return Polynomial([coeffs.get(i, 0) for i in range(max(coeffs) + 1)])
 
 
 def _decimal(n: int) -> str:

@@ -51,7 +51,7 @@ def _random_symbol(rng: random.Random) -> PowerSeries:
 def _functional_equation(rng: random.Random, _tol):
     """S(x+h) + S(x) = P, for S the exact regularized sum of (-1)^n P(x+nh)."""
     p, h = _random_poly(rng, 8), _random_h(rng)
-    deg = max(len(p.coeffs) - 1, 0)
+    deg = max(len(p.nums) - 1, 0)
     s = reg_operator(_ALT, op_shift(h, order=deg + 6), _EXACT, deg + 2).apply(p)
     residue = s.translate(h) + s - p
     if not residue.is_zero:
@@ -64,7 +64,7 @@ def _operator_ring(rng: random.Random, _tol):
     sf = OperatorSpec(f)
     _, rem = sf.remainder()
     power = p
-    for _ in range(len(p.coeffs)):
+    for _ in range(len(p.nums)):
         power = rem.apply(power)
     laws = {
         "composition mismatch": OperatorSpec(f * g).apply(p) == sf.apply(OperatorSpec(g).apply(p)),
@@ -85,7 +85,7 @@ def _normalized_alt_instance(
     triple is as random as the original."""
     if p.is_zero:
         return p
-    applied = _reduced_values(op_shift(h, order=len(p.coeffs) - 1), p, xv)
+    applied = _reduced_values(op_shift(h, order=len(p.nums) - 1), p, xv)
     magnitude = sum(abs(v) / 2 ** (k + 1) for k, v in enumerate(applied))
     return p * Fraction(1, 1 + magnitude.numerator // magnitude.denominator)
 

@@ -230,7 +230,7 @@ def cmd_sum(args: argparse.Namespace) -> int:
     _check_budget(args)
     poly = _literal(partial(parse_polynomial, max_degree=MAX_DEGREE), args.polynomial, "--poly")
     x = _literal(Fraction, args.x, "--x")
-    order = max(16, len(poly.coeffs) + 3)
+    order = max(16, len(poly.nums) + 3)
     if args.operator is not None:
         _check_step(args.operator, order, "--op")
         op = _literal(partial(parse_operator, order=order), args.operator, "--op")

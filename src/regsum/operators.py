@@ -41,7 +41,7 @@ class OperatorSpec:
 
     def apply(self, p: Polynomial) -> Polynomial:
         """Apply to a polynomial: sum of symbol coefficients times derivatives."""
-        deg = len(p.coeffs) - 1
+        deg = len(p.nums) - 1
         if self.symbol.order < deg:
             raise OrderExceededError(
                 f"symbol truncated at order {self.symbol.order} cannot act on degree {deg}; "

@@ -212,7 +212,7 @@ class PowerSeries:
         return cls([Fraction(s) for s in items])
 
     def __repr__(self) -> str:
-        return f"PowerSeries({[str(c) for c in self.coeffs]})"
+        return f"PowerSeries({self.to_strings()})"
 
     def __str__(self) -> str:
         return f"{_terms_text(enumerate(self.coeffs), 't')} + O(t^{self.order + 1})"

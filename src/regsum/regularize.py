@@ -170,7 +170,7 @@ def _reduction_symbols(T: OperatorSpec, d: int) -> list[PowerSeries]:
 def _reduced_values(T: OperatorSpec, P: Polynomial, x: Fraction) -> list[Fraction]:
     """(R^k P)(x) for k = 0..deg P, as sum_n [t^n]R^k * P^(n)(x); the
     P^(n)(x) = n! [y^n] P(x + y) come from one Taylor shift."""
-    d = len(P.coeffs) - 1
+    d = len(P.nums) - 1
     powers = _reduction_symbols(T, d)
     shifted = P.translate(x)
     at_x = [shifted.coeff(n) * math.factorial(n) for n in range(d + 1)]
@@ -241,7 +241,7 @@ def reg_sum(
             terms_used=0, converged=True, residual=0.0, provenance=PROV_EXACT,
         )
         return Fraction(0), report
-    cap = len(P.coeffs) - 1
+    cap = len(P.nums) - 1
     derivs = reg_derivatives(f, T.constant, method, cap)
     exact, numeric, log = Fraction(0), 0.0, None
     rows = zip(derivs.values, derivs.reports, _reduced_values(T, P, x))
@@ -289,7 +289,7 @@ def euler_alt_sum(P: Polynomial, h: RationalLike, x: RationalLike) -> Fraction:
     x = as_rational(x)
     if P.is_zero:
         return Fraction(0)
-    deg = len(P.coeffs) - 1
+    deg = len(P.nums) - 1
     table = euler_numbers(deg)
     point = x - h / 2
     total = Fraction(0)

@@ -1,6 +1,7 @@
 """Polynomial arithmetic, parsing, and formatting."""
 
 import gc
+import math
 import random
 import sys
 import threading
@@ -14,6 +15,7 @@ from regsum.algebra import (
     NEG_INFINITY,
     ParseError,
     Polynomial,
+    _derivative_sum,
     as_rational,
     binomial_poly,
     falling_factorial_poly,
@@ -57,7 +59,7 @@ def test_zero_polynomial():
     assert z.is_zero
     assert z.degree == NEG_INFINITY
     assert Polynomial([0, 0]).is_zero
-    Polynomial([5, Fraction(1, 6)])(2)  # a kept form the zero polynomial must not read
+    Polynomial([5, Fraction(1, 6)])(2)  # another evaluation first leaves zero at zero
     value = z(Fraction(7, 3))
     assert type(value) is Fraction and value == 0
 
@@ -236,7 +238,7 @@ def test_evaluation_matches_fraction_horner(p, x):
 
 
 # ---------------------------------------------------------------------------
-# the kept integer form of the last polynomial evaluated
+# integer Horner evaluation on each polynomial's stored form
 
 
 def assert_same(value, expect):
@@ -249,7 +251,7 @@ def assert_same(value, expect):
        st.lists(st.tuples(st.integers(0, 3), wide_rationals), min_size=1, max_size=16))
 def test_interleaved_evaluations_match_fraction_horner(ps, calls):
     # Switching between polynomials, and back, must never read another
-    # polynomial's kept form.
+    # polynomial's form.
     for index, x in calls:
         p = ps[index % len(ps)]
         assert_same(p(x), fraction_horner(p, x))
@@ -294,8 +296,8 @@ def test_float_point_refused_after_a_kept_form():
 
 
 def test_threads_never_read_each_others_form():
-    # Every thread shares the one entry.  It is read and replaced whole, so
-    # a thread switch anywhere in an evaluation cannot mix two forms.
+    # Evaluation reads only its own polynomial's stored form, so a thread
+    # switch anywhere in an evaluation cannot mix two forms.
     polys = [Polynomial([Fraction(i + k, k + 2) for k in range(6)]) for i in range(6)]
     xs = [Fraction(n, 7) for n in range(-30, 30)]
     expect = [[fraction_horner(p, x) for x in xs] for p in polys]
@@ -323,7 +325,7 @@ def test_threads_never_read_each_others_form():
 
 def test_evaluation_keeps_one_form():
     # 2,000 distinct degree-40 polynomials, each evaluated and then dropped:
-    # only the last one's integer form may stay behind.
+    # evaluation keeps nothing behind.
     rng = random.Random(11)
     polys = [Polynomial([Fraction(rng.randint(-99, 99), rng.randint(1, 60))
                          for _ in range(41)]) for _ in range(2000)]
@@ -341,3 +343,116 @@ def test_evaluation_keeps_one_form():
     finally:
         tracemalloc.stop()
     assert after - before < 64 * 1024, after - before
+
+
+# ---------------------------------------------------------------------------
+# the stored form: int numerators over one denominator, in lowest terms
+
+
+def assert_lowest_terms(p):
+    assert all(type(n) is int for n in p.nums) and type(p.den) is int
+    assert p.den > 0 and math.gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1] != 0
+
+
+def trimmed(cs):
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    a, b = a + (0,) * (n - len(a)), b + (0,) * (n - len(b))
+    return trimmed([x + y for x, y in zip(a, b)])
+
+
+def ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return trimmed(out)
+
+
+def ref_derivative(a):
+    return trimmed([i * c for i, c in enumerate(a)][1:])
+
+
+def ref_derivative_sum(a, weights):
+    acc, term = (), a
+    for w in weights[:len(a)]:
+        acc = ref_add(acc, trimmed([w * c for c in term]))
+        term = ref_derivative(term)
+    return acc
+
+
+def ref_translate(a, h):
+    # sum_k a_k (x+h)^k expanded by the binomial theorem
+    out = [Fraction(0)] * len(a)
+    for k, c in enumerate(a):
+        for j in range(k + 1):
+            out[j] += c * math.comb(k, j) * h ** (k - j)
+    return trimmed(out)
+
+
+@given(st.lists(rationals, max_size=7), st.lists(rationals, max_size=7), rationals,
+       rationals, st.lists(rationals, min_size=7, max_size=7))
+def test_stored_form_matches_fraction_reference(a, b, c, x, weights):
+    p, q = Polynomial(a), Polynomial(b)
+    ta, tb = trimmed(a), trimmed(b)
+    cases = [
+        (p, ta),
+        (p + q, ref_add(ta, tb)),
+        (p - q, ref_add(ta, tuple(-y for y in tb))),
+        (-p, tuple(-y for y in ta)),
+        (p * c, trimmed([c * y for y in ta])),
+        (c * p, trimmed([c * y for y in ta])),
+        (p * q, ref_mul(ta, tb)),
+        (p.derivative(), ref_derivative(ta)),
+        (p.translate(c), ref_translate(ta, c)),
+        (_derivative_sum(p, weights), ref_derivative_sum(ta, weights)),
+    ]
+    for got, expect in cases:
+        assert_lowest_terms(got)
+        assert all(type(v) is Fraction for v in got.coeffs)
+        assert got.coeffs == expect
+    value = Fraction(0)
+    for v in reversed(ta):
+        value = value * x + v
+    assert_same(p(x), value)
+
+
+def test_equal_values_have_equal_stored_forms():
+    p, q = Polynomial([Fraction(2, 4), 0]), Polynomial(["1/2"])
+    assert (p.nums, p.den) == (q.nums, q.den) == ((1,), 2)
+    assert p == q and hash(p) == hash(q)
+    r = Polynomial([Fraction(1, 6), Fraction(-3, 4), 2])
+    assert (r.nums, r.den) == ((2, -9, 24), 12)
+    assert (Polynomial().nums, Polynomial().den) == ((), 1)
+    assert_lowest_terms(r * 6 - r * 6)
+
+
+def test_stored_form_memory():
+    # 1,000 degree-20 polynomials built from small p/q coefficients keep
+    # their int numerators, not one Fraction per coefficient.
+    rng = random.Random(7)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        polys = [Polynomial([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(20)]
+                            + [Fraction(rng.randint(1, 9), rng.randint(1, 5))])
+                 for _ in range(1000)]
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(p.degree == 20 for p in polys)
+    assert (after - before) / len(polys) < 800, (after - before) / len(polys)
+
+
+def test_repr_of_a_coefficient_past_the_int_text_limit():
+    big = Fraction(10 ** 5000 + 1, 3)
+    p = Polynomial([1, big])
+    assert repr(p) == "Polynomial(['1', '1" + "0" * 4999 + "1/3'])"

@@ -171,6 +171,12 @@ def test_strings_round_trip():
     assert PowerSeries.from_strings(s.to_strings()) == s
 
 
+def test_repr_of_a_coefficient_past_the_int_text_limit():
+    big = Fraction(-(10 ** 5000) - 7, 11)
+    s = PowerSeries([big, 1])
+    assert repr(s) == "PowerSeries(['-1" + "0" * 4999 + "7/11', '1'])"
+
+
 def test_str_rendering():
     assert str(PowerSeries([1, "1/2", 0])) == "1 + 1/2*t + O(t^3)"
     assert str(PowerSeries([-3, 2])) == "-3 + 2*t + O(t^2)"
