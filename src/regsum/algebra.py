@@ -46,9 +46,8 @@ class Polynomial:
     __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
-        pairs = [as_rational(c).as_integer_ratio() for c in coeffs]
-        den = math.lcm(*[d for _, d in pairs])
-        self._store([n * (den // d) for n, d in pairs], den)
+        nums = [as_rational(c) for c in coeffs]
+        self._store(nums, _scale_to_ints(nums))
 
     def _store(self, nums: list[int], den: int) -> "Polynomial":
         """Set the form sum_i nums[i]/den x^i (den > 0), trimmed and reduced."""
@@ -64,10 +63,6 @@ class Polynomial:
         """The coefficients as lowest-terms Fractions, built on each read."""
         den = self.den
         return tuple([Fraction(n, den) for n in self.nums])
-
-    @coeffs.setter
-    def coeffs(self, values: Iterable[RationalLike]) -> None:
-        Polynomial.__init__(self, values)
 
     @classmethod
     def zero(cls) -> "Polynomial":
@@ -184,6 +179,33 @@ class Polynomial:
         return format_polynomial(self)
 
 
+def _scale_to_ints(values: list) -> int:
+    """Convert ``values`` (ints and Fractions) in place to int numerators
+    over their least common denominator D, and return D, so that each
+    values[i] / D is the rational that was there.  Each value's ratio is
+    read once, and its Fraction dropped as it is read."""
+    dens = [1] * len(values)
+    for i, v in enumerate(values):
+        values[i], dens[i] = v.as_integer_ratio()
+    # Distinct denominators in order: successive lcm steps then mostly
+    # meet a multiple of the running lcm, which keeps each gcd cheap.
+    den = math.lcm(*dict.fromkeys(dens))
+    # Scale factors den // d, walked backwards: when d divides the following
+    # value's denominator (as in geometric-like sequences) the factor follows
+    # from that value's by a small multiplication instead of a long division.
+    # Each denominator is popped as its numerator grows, so the two lists
+    # never peak together.
+    factor, following = 1, den
+    for i in range(len(values) - 1, -1, -1):
+        d = dens.pop()
+        if d != following:
+            quotient, rest = divmod(following, d)
+            factor = factor * quotient if rest == 0 else den // d
+            following = d
+        values[i] *= factor
+    return den
+
+
 def _poly(nums: list[int], den: int) -> Polynomial:
     """The polynomial sum_i nums[i]/den x^i (den > 0), reduced once."""
     return Polynomial.__new__(Polynomial)._store(nums, den)
@@ -204,13 +226,12 @@ def _convolve(a: Sequence, b: Sequence, size: int) -> list:
 def _derivative_sum(p: Polynomial, weights: Iterable[Fraction]) -> Polynomial:
     """sum_n weights[n] P^(n) for n = 0..deg P (``weights`` must reach it),
     on P's numerators with the weights over one common denominator."""
-    ratios = [w.as_integer_ratio() for w, _ in zip(weights, p.nums)]
-    common = math.lcm(*[d for _, d in ratios])
+    scales = [w for w, _ in zip(weights, p.nums)]
+    common = _scale_to_ints(scales)
     out = [0] * len(p.nums)
     term = list(p.nums)  # numerators of P^(n), over p.den
-    for num, d in ratios:
-        if num:
-            scale = num * (common // d)
+    for scale in scales:
+        if scale:
             for i, t in enumerate(term):
                 out[i] += scale * t
         term = [i * t for i, t in enumerate(term)][1:]

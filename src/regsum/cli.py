@@ -195,13 +195,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", "-o", choices=("text", "json"), default="text")
 
     p = sub.add_parser("cesaro", help="iterated-mean summation of a series literal")
-    p.set_defaults(run=cmd_cesaro)
+    p.set_defaults(run=cmd_engine)
     common(p, series=True)
     p.add_argument("--k", dest="order", metavar="K", default="auto",
                    help=f"mean order (0..{MAX_ORDER_CAP}) or 'auto'")
 
     p = sub.add_parser("abel", help="power-boundary summation of a series literal")
-    p.set_defaults(run=cmd_abel)
+    p.set_defaults(run=cmd_engine)
     common(p, series=True)
 
     p = sub.add_parser("symbol", help="print an operator's symbol series")
@@ -290,26 +290,19 @@ def cmd_euler(args: argparse.Namespace) -> int:
                  {"values": table.to_json_list()})
 
 
-def cmd_cesaro(args: argparse.Namespace) -> int:
-    from .summation import cesaro_auto, cesaro_limit, parse_series
+def cmd_engine(args: argparse.Namespace) -> int:
+    """The cesaro and abel subcommands: one numeric engine on a series literal."""
+    from .summation import abel_limit, cesaro_auto, cesaro_limit, parse_series
 
     _check_budget(args)
     series = _literal(parse_series, args.series, "--series")
-    if args.order == "auto":
+    if args.subcommand == "abel":
+        report = abel_limit(series, tol=args.tol, max_terms=args.n_max)
+    elif args.order == "auto":
         report = cesaro_auto(series, N=args.n_max, tol=args.tol)
     else:
         k = _mean_order(args.order, "--k")
         report = cesaro_limit(series, k, N=args.n_max, tol=args.tol)
-    fields = report.to_json_dict()
-    return _emit(args, _field_lines(fields), fields, report.converged)
-
-
-def cmd_abel(args: argparse.Namespace) -> int:
-    from .summation import abel_limit, parse_series
-
-    _check_budget(args)
-    series = _literal(parse_series, args.series, "--series")
-    report = abel_limit(series, tol=args.tol, max_terms=args.n_max)
     fields = report.to_json_dict()
     return _emit(args, _field_lines(fields), fields, report.converged)
 

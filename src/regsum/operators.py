@@ -39,14 +39,18 @@ class OperatorSpec:
 
     __hash__ = None
 
-    def apply(self, p: Polynomial) -> Polynomial:
-        """Apply to a polynomial: sum of symbol coefficients times derivatives."""
-        deg = len(p.nums) - 1
-        if self.symbol.order < deg:
+    def _check_reach(self, degree: int) -> None:
+        """Refuse a polynomial degree beyond the symbol's truncation order:
+        all of t^0..t^degree act on such a polynomial."""
+        if self.symbol.order < degree:
             raise OrderExceededError(
-                f"symbol truncated at order {self.symbol.order} cannot act on degree {deg}; "
+                f"symbol truncated at order {self.symbol.order} cannot act on degree {degree}; "
                 "rebuild the operator with a deeper symbol"
             )
+
+    def apply(self, p: Polynomial) -> Polynomial:
+        """Apply to a polynomial: sum of symbol coefficients times derivatives."""
+        self._check_reach(len(p.nums) - 1)
         return _derivative_sum(p, self.symbol.coeffs)
 
     def compose(self, other: "OperatorSpec") -> "OperatorSpec":

@@ -4,7 +4,8 @@ A series carries its coefficients for t^0..t^order plus the explicit
 truncation order; nothing beyond the order is known or claimed.  Arithmetic
 propagates orders pessimistically (the min of the operands), and this module
 never touches floats: numeric evaluation lives elsewhere.  The zigzag
-integers E_k = k! [t^k] 1/cosh t are read off a series inverse here too.
+integers E_k = k! [t^k] 1/cosh t live here too, computed on ints from
+cosh t * sech t = 1.
 """
 
 from __future__ import annotations
@@ -99,8 +100,7 @@ class PowerSeries:
     def __sub__(self, other: "PowerSeries") -> "PowerSeries":
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        return PowerSeries([self.coeffs[i] - other.coeffs[i] for i in range(n + 1)])
+        return self + (-other)
 
     def __neg__(self) -> "PowerSeries":
         return PowerSeries([-c for c in self.coeffs])
@@ -171,17 +171,8 @@ class PowerSeries:
         """Formal logarithm; requires constant term 1."""
         if self.coeffs[0] != 1:
             raise DomainError("log needs constant term 1; log c is not rational otherwise")
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        # L' = f'/f  =>  k l_k = k f_k - sum_{j=1..k-1} j l_j f_{k-j}
-        for k in range(1, n + 1):
-            acc = k * self.coeffs[k]
-            for j in range(1, k):
-                lj = out[j]
-                if lj != 0:
-                    acc -= j * lj * self.coeffs[k - j]
-            out[k] = acc / k
-        return PowerSeries(out)
+        # L' = f'/f with L(0) = 0
+        return (self.derivative() * self.inverse()).integral().truncate(self.order)
 
     def compose(self, inner: "PowerSeries") -> "PowerSeries":
         """Substitute ``inner`` (which must vanish at 0) for t."""
@@ -288,14 +279,13 @@ class EulerTable:
 
 
 def euler_numbers(n_max: int) -> EulerTable:
-    """E_k = k! times the t^k coefficient of 1/cosh t, exact integers."""
+    """E_k = k! times the t^k coefficient of 1/cosh t, exact integers, from
+    cosh t * sech t = 1: E_0 = 1, E_n = 0 for odd n, and otherwise
+    E_n = -sum_{even j = 2..n} C(n, j) E_(n-j)."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    inv = cosh_series(n_max).inverse()
-    values = []
-    for k in range(n_max + 1):
-        v = inv.coeffs[k] * math.factorial(k)
-        if v.denominator != 1:
-            raise ArithmeticError(f"zigzag coefficient {k} is not an integer: {v}")
-        values.append(v.numerator)
+    values = [1]
+    for n in range(1, n_max + 1):
+        values.append(0 if n % 2 else
+                      -sum(math.comb(n, j) * values[n - j] for j in range(2, n + 1, 2)))
     return EulerTable(tuple(values))

@@ -7,7 +7,7 @@ collapse the whole series to the finite combination
     sum_{k=0}^{deg P} v_k / k! * (R^k P)(x),
 
 where v_k is the regularized k-th derivative value sum_n a_n [n]_k c^(n-k).
-The v_k come from exact closed-form tables where a series carries one, and
+The v_k come from exact closed forms where a series carries one, and
 from the numeric engines in `summation` otherwise, so the two routes check
 each other.
 """
@@ -24,7 +24,7 @@ from .algebra import Polynomial, RationalLike, as_rational
 from .budgets import InexactDataError, NotRegularError
 from .operators import OperatorSpec
 # EulerTable and euler_numbers are re-exported from their home in power_series.
-from .power_series import EulerTable, OrderExceededError, PowerSeries, euler_numbers
+from .power_series import EulerTable, PowerSeries, euler_numbers
 from .summation import (
     ConvergenceReport,
     LogValue,
@@ -155,11 +155,7 @@ def _reduction_symbols(T: OperatorSpec, d: int) -> list[PowerSeries]:
     """The symbols of R^0..R^d through t^d, where R = T - c is T's
     degree-lowering remainder.  Only these coefficients can act on a
     polynomial of degree d, so a symbol of T shorter than d is refused."""
-    if T.symbol.order < d:
-        raise OrderExceededError(
-            f"symbol truncated at order {T.symbol.order} cannot act on degree {d}; "
-            "rebuild the operator with a deeper symbol"
-        )
+    T._check_reach(d)
     r_symbol = PowerSeries([0, *T.symbol.coeffs[1 : d + 1]])
     powers = [PowerSeries.constant(1, d)]
     for _ in range(d):

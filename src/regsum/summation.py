@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .algebra import ParseError, RationalLike, as_rational, format_rational
+from .algebra import ParseError, RationalLike, _scale_to_ints, as_rational, format_rational
 from .budgets import (
     DEFAULT_ORDER_CAP,
     DEFAULT_TERMS,
@@ -403,31 +403,13 @@ def _scaled_terms(a: SeriesSpec, count: int) -> tuple[list[int], int]:
     """The first ``count`` terms as ints over their least common denominator
     D: returns (numerators, D) with a_n = numerators[n] / D exactly.  The
     term list is converted in place, so its Fractions are dropped as they
-    are read; each term's ratio is read once."""
+    are read."""
     terms = a.terms(count)
-    dens = [1] * count
-    for i, t in enumerate(terms):
+    for t in terms:
         # Floats have as_integer_ratio too, so the type is checked first.
         if not isinstance(t, (int, Fraction)):
             raise TypeError(f"series term {t!r} is not an exact rational")
-        terms[i], dens[i] = t.as_integer_ratio()
-    # Distinct denominators in term order: successive lcm steps then mostly
-    # meet a multiple of the running lcm, which keeps each gcd cheap.
-    den = math.lcm(*dict.fromkeys(dens))
-    # Scale factors den // d, walked backwards: when d divides the following
-    # term's denominator (as in geometric-like sequences) the factor follows
-    # from that term's by a small multiplication instead of a long division.
-    # Each denominator is popped as its numerator grows, so the two lists
-    # never peak together.
-    factor, following = 1, den
-    for i in range(count - 1, -1, -1):
-        d = dens.pop()
-        if d != following:
-            quotient, rest = divmod(following, d)
-            factor = factor * quotient if rest == 0 else den // d
-            following = d
-        terms[i] *= factor
-    return terms, den
+    return terms, _scale_to_ints(terms)
 
 
 def _prefix_pass(values: list[int]) -> None:

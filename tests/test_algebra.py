@@ -3,19 +3,18 @@
 import gc
 import math
 import random
-import sys
-import threading
 import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from regsum.algebra import (
     NEG_INFINITY,
     ParseError,
     Polynomial,
     _derivative_sum,
+    _scale_to_ints,
     as_rational,
     binomial_poly,
     falling_factorial_poly,
@@ -81,6 +80,10 @@ def test_evaluation_golden():
     p = parse_polynomial("3*x^2 - 1/2*x + 4")
     assert p(Fraction(2, 3)) == Fraction(3) * Fraction(4, 9) - Fraction(1, 3) + 4
     assert p(0) == 4
+    with pytest.raises(TypeError):
+        p(0.5)
+    with pytest.raises(TypeError):
+        Polynomial()(0.5)
 
 
 def test_arithmetic_golden():
@@ -246,84 +249,7 @@ def assert_same(value, expect):
     assert (value.numerator, value.denominator) == (expect.numerator, expect.denominator)
 
 
-@given(st.lists(st.lists(wide_rationals, min_size=0, max_size=8).map(Polynomial),
-                min_size=2, max_size=4),
-       st.lists(st.tuples(st.integers(0, 3), wide_rationals), min_size=1, max_size=16))
-def test_interleaved_evaluations_match_fraction_horner(ps, calls):
-    # Switching between polynomials, and back, must never read another
-    # polynomial's form.
-    for index, x in calls:
-        p = ps[index % len(ps)]
-        assert_same(p(x), fraction_horner(p, x))
-
-
-def test_equal_but_distinct_coefficient_tuples():
-    p = Polynomial([Fraction(1, 3), 2, Fraction(-5, 7)])
-    q = Polynomial(list(p.coeffs))
-    assert p.coeffs == q.coeffs and p.coeffs is not q.coeffs
-    x = Fraction(4, 9)
-    for poly in (p, q, q, p, p, q):
-        assert_same(poly(x), fraction_horner(p, x))
-
-
-def test_a_new_polynomial_never_reads_a_dropped_ones_form():
-    # Each loop drops the previous polynomial, whose coefficient tuple's
-    # memory a new tuple of the same length would reuse if nothing held it.
-    x = Fraction(2, 7)
-    for i in range(50):
-        p = Polynomial([i, 1, Fraction(1, i + 2)])
-        assert_same(p(x), fraction_horner(p, x))
-
-
-def test_reassigned_coefficients_are_evaluated_afresh():
-    p = Polynomial([1, 2, 3])
-    x = Fraction(-3, 2)
-    assert p(x) == fraction_horner(p, x)
-    p.coeffs = (Fraction(1, 2), Fraction(0), Fraction(-7, 3))
-    assert_same(p(x), fraction_horner(p, x))
-    p.coeffs = ()
-    assert_same(p(x), Fraction(0))
-
-
-def test_float_point_refused_after_a_kept_form():
-    p = Polynomial([1, Fraction(1, 2), 3])
-    p(1)
-    p(Fraction(2, 5))
-    with pytest.raises(TypeError):
-        p(0.5)
-    with pytest.raises(TypeError):
-        Polynomial()(0.5)
-
-
-def test_threads_never_read_each_others_form():
-    # Evaluation reads only its own polynomial's stored form, so a thread
-    # switch anywhere in an evaluation cannot mix two forms.
-    polys = [Polynomial([Fraction(i + k, k + 2) for k in range(6)]) for i in range(6)]
-    xs = [Fraction(n, 7) for n in range(-30, 30)]
-    expect = [[fraction_horner(p, x) for x in xs] for p in polys]
-    wrong = []
-
-    def work(i):
-        for _ in range(40):
-            for x, e in zip(xs, expect[i]):
-                if polys[i](x) != e:
-                    wrong.append((i, x))
-
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(polys))]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert wrong == []
-
-
-def test_evaluation_keeps_one_form():
+def test_evaluation_retains_nothing():
     # 2,000 distinct degree-40 polynomials, each evaluated and then dropped:
     # evaluation keeps nothing behind.
     rng = random.Random(11)
@@ -432,6 +358,40 @@ def test_equal_values_have_equal_stored_forms():
     assert (r.nums, r.den) == ((2, -9, 24), 12)
     assert (Polynomial().nums, Polynomial().den) == ((), 1)
     assert_lowest_terms(r * 6 - r * 6)
+
+
+def test_coefficients_cannot_be_reassigned():
+    # The hash reads the stored form, so a polynomial that could change
+    # after being used as a key would be lost from its dict.
+    p = Polynomial([1, Fraction(1, 2)])
+    table = {p: 1}
+    with pytest.raises(AttributeError):
+        p.coeffs = [3]
+    assert p.coeffs == (1, Fraction(1, 2))
+    assert p in table and table[Polynomial(["1", "1/2"])] == 1
+
+
+# Denominators with dividing chains (2 | 4 | 8, 3 | 9 | 27) and coprime
+# pairs, so the lcm walk meets both; small numerators give zeros and repeats.
+scalable = st.one_of(
+    st.integers(-30, 30),
+    st.builds(Fraction, st.integers(-30, 30),
+              st.sampled_from([1, 2, 3, 4, 8, 9, 27, 35, 10**9 + 7])),
+)
+
+
+@given(st.lists(scalable, max_size=12))
+@example([])
+@example([0, 0])
+@example([Fraction(1, 8), Fraction(-3, 4), Fraction(1, 8), Fraction(5, 2), 7])
+@example([Fraction(1, 3), Fraction(2, 5), Fraction(-1, 7)])
+def test_scale_to_ints_matches_fractions(values):
+    expect = [Fraction(v) for v in values]
+    work = list(values)
+    den = _scale_to_ints(work)
+    assert den == math.lcm(*[v.denominator for v in expect])
+    assert all(type(n) is int for n in work)
+    assert [Fraction(n, den) for n in work] == expect
 
 
 def test_stored_form_memory():

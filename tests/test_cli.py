@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -901,6 +902,40 @@ def test_closed_stdout_is_not_a_usage_error():
     proc.stderr.close()
     assert proc.wait(timeout=120) == 0
     assert "Traceback" not in err
+
+
+# An exact sum, an altlog sum, the zigzag table, a numeric engine and an exit-1 case.
+INTERPRETER_ARGVS = [
+    ("sum", "--series", "alt", "--poly", "3*x^2 - 1/2*x + 4", "--x", "1/2", "-o", "json"),
+    ("sum", "--series", "altlog", "--poly", "x^2 + 1"),
+    ("euler", "20"),
+    ("cesaro", "--series", "alt", "-N", "1000", "-o", "json"),
+    ("sum", "--series", "alt", "--poly", "x^^2"),
+]
+
+
+@pytest.mark.parametrize("version", ["3.10", "3.11", "3.12", "3.13"])
+def test_each_supported_python_gives_the_same_output(version):
+    # requires-python is >= 3.10: each such interpreter that starts must
+    # print what the running one prints, byte for byte, with its exit code.
+    if sys.version_info[:2] == tuple(map(int, version.split("."))):
+        pytest.skip("the running interpreter is the reference")
+    env = {k: v for k, v in os.environ.items() if k != "REGSUM_TERMS"}
+    env["PYTHONPATH"] = str(SRC)
+    python = shutil.which(f"python{version}")
+    if python is None or subprocess.run([python, "-c", "pass"], env=env,
+                                        capture_output=True, timeout=60).returncode:
+        pytest.skip(f"python{version} does not start here")
+
+    def outputs(interpreter):
+        procs = [subprocess.run([interpreter, "-m", "regsum", *argv], env=env,
+                                capture_output=True, timeout=120)
+                 for argv in INTERPRETER_ARGVS]
+        return [(p.returncode, p.stdout, p.stderr) for p in procs]
+
+    expect = outputs(sys.executable)
+    assert [code for code, _, _ in expect] == [0, 0, 0, 0, 1]
+    assert outputs(python) == expect
 
 
 # ---------------------------------------------------------------------------

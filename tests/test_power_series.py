@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from regsum.power_series import (
     DomainError,
@@ -12,6 +12,7 @@ from regsum.power_series import (
     OrderExceededError,
     PowerSeries,
     cosh_series,
+    euler_numbers,
     exp_series,
     geometric_series,
     log1p_series,
@@ -123,6 +124,27 @@ def test_exp_log_round_trip():
     assert g.log().exp() == g
 
 
+def recurrence_log(f):
+    """log f by the recurrence k l_k = k f_k - sum_{j=1..k-1} j l_j f_{k-j}."""
+    out = [Fraction(0)] * (f.order + 1)
+    for k in range(1, f.order + 1):
+        acc = k * f.coeffs[k]
+        for j in range(1, k):
+            acc -= j * out[j] * f.coeffs[k - j]
+        out[k] = acc / k
+    return out
+
+
+@given(st.lists(small_rationals, max_size=12))
+@example([])
+@example([Fraction(k - 5, k + 1) for k in range(12)])
+def test_log_matches_the_recurrence(tail):
+    f = PowerSeries([1, *tail])
+    log = f.log()
+    assert log.order == f.order
+    assert list(log.coeffs) == recurrence_log(f)
+
+
 def test_log1p_exp_is_one_plus_t():
     n = 9
     assert log1p_series(n).exp() == PowerSeries.constant(1, n) + PowerSeries.t(n)
@@ -163,6 +185,14 @@ def test_cosh_inverse_starts_like_sech():
     assert inv.coeff(0) == 1
     assert inv.coeff(2) == Fraction(-1, 2)
     assert inv.coeff(4) == Fraction(5, 24)
+
+
+def test_euler_numbers_match_the_inverse_of_cosh():
+    inverse = cosh_series(120).inverse()
+    expect = [inverse.coeff(k) * math.factorial(k) for k in range(121)]
+    assert all(v.denominator == 1 for v in expect)
+    for n in range(121):
+        assert euler_numbers(n).values == tuple(v.numerator for v in expect[:n + 1])
 
 
 def test_strings_round_trip():

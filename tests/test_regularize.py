@@ -426,6 +426,17 @@ def test_reg_operator_refuses_a_short_operator_symbol():
         reg_sum(ALT, T, Polynomial.monomial(6), 0, EXACT)
 
 
+def test_reach_message_is_the_same_through_apply_and_reg_sum():
+    T, P = op_shift(1, order=4), Polynomial.monomial(6)
+    with pytest.raises(OrderExceededError) as via_apply:
+        T.apply(P)
+    with pytest.raises(OrderExceededError) as via_sum:
+        reg_sum(ALT, T, P, 0, EXACT)
+    expect = ("symbol truncated at order 4 cannot act on degree 6; "
+              "rebuild the operator with a deeper symbol")
+    assert str(via_apply.value) == str(via_sum.value) == expect
+
+
 def test_reg_operator_checks_exactness_before_the_symbol_order():
     with pytest.raises(InexactDataError):
         reg_operator(ALTLOG, op_shift(1, order=2), CESARO, 6)
