@@ -80,10 +80,6 @@ def test_evaluation_golden():
     p = parse_polynomial("3*x^2 - 1/2*x + 4")
     assert p(Fraction(2, 3)) == Fraction(3) * Fraction(4, 9) - Fraction(1, 3) + 4
     assert p(0) == 4
-    with pytest.raises(TypeError):
-        p(0.5)
-    with pytest.raises(TypeError):
-        Polynomial()(0.5)
 
 
 def test_arithmetic_golden():
@@ -247,6 +243,17 @@ def test_evaluation_matches_fraction_horner(p, x):
 def assert_same(value, expect):
     assert type(value) is Fraction
     assert (value.numerator, value.denominator) == (expect.numerator, expect.denominator)
+
+
+def test_float_point_refused_after_a_kept_form():
+    # Exact evaluations first, then a float point: it is still refused.
+    p = Polynomial([1, Fraction(1, 2), 3])
+    p(1)
+    p(Fraction(2, 5))
+    with pytest.raises(TypeError):
+        p(0.5)
+    with pytest.raises(TypeError):
+        Polynomial()(0.5)
 
 
 def test_evaluation_retains_nothing():
