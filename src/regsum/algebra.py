@@ -2,7 +2,7 @@
 
 Scalars are ``fractions.Fraction`` throughout: always in lowest terms with a
 positive denominator, and every arithmetic operation is exact.  ``Rational``
-is re-exported here so the rest of the package has a single spelling.
+is a public alias of ``Fraction``, kept for callers.
 """
 
 from __future__ import annotations
@@ -36,7 +36,25 @@ class ParseError(ValueError):
         self.position = position
 
 
-class Polynomial:
+class _Frozen:
+    """Base of the exact value types: each field is set once, with
+    ``object.__setattr__`` while the value is built, and can then be
+    neither assigned nor deleted, so a hash read from the fields holds."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state):  # copy and pickle restore the slots here
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
+class Polynomial(_Frozen):
     """Dense polynomial in one variable over exact rationals, stored as int
     numerators ``nums`` (ascending powers, trailing zeros trimmed) over one
     denominator ``den`` > 0 with gcd(den, *nums) == 1, so equal polynomials
@@ -54,8 +72,8 @@ class Polynomial:
         while nums and not nums[-1]:
             nums.pop()
         g = math.gcd(den, *nums)
-        self.nums = tuple([n // g for n in nums])
-        self.den = den // g
+        object.__setattr__(self, "nums", tuple([n // g for n in nums]))
+        object.__setattr__(self, "den", den // g)
         return self
 
     @property
@@ -204,6 +222,14 @@ def _scale_to_ints(values: list) -> int:
             following = d
         values[i] *= factor
     return den
+
+
+def _prefix_pass(values: list) -> None:
+    # In place: a second list of (possibly long) ints would double the peak.
+    acc = 0
+    for i, v in enumerate(values):
+        acc += v
+        values[i] = acc
 
 
 def _poly(nums: list[int], den: int) -> Polynomial:

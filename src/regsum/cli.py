@@ -232,6 +232,8 @@ def cmd_sum(args: argparse.Namespace) -> int:
     x = _literal(Fraction, args.x, "--x")
     order = max(16, len(poly.nums) + 3)
     if args.operator is not None:
+        if args.h is not None:
+            raise CliError("--h: not used with --op; give the step in --op (shift:h or delta:h)")
         _check_step(args.operator, order, "--op")
         op = _literal(partial(parse_operator, order=order), args.operator, "--op")
     else:

@@ -14,7 +14,8 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .algebra import RationalLike, _convolve, _terms_text, as_rational, format_rational
+from .algebra import (RationalLike, _convolve, _Frozen, _prefix_pass, _terms_text, as_rational,
+                      format_rational)
 
 DEFAULT_PADDING = 4
 
@@ -37,7 +38,7 @@ class OrderExceededError(IndexError):
     """Coefficient requested beyond the truncation order."""
 
 
-class PowerSeries:
+class PowerSeries(_Frozen):
     """Formal power series truncated at an explicit inclusive order."""
 
     __slots__ = ("coeffs",)
@@ -46,7 +47,7 @@ class PowerSeries:
         cs = tuple(as_rational(c) for c in coeffs)
         if not cs:
             raise ValueError("a truncated series needs at least the t^0 term")
-        self.coeffs = cs
+        object.__setattr__(self, "coeffs", cs)
 
     @classmethod
     def constant(cls, c: RationalLike, order: int) -> "PowerSeries":
@@ -131,15 +132,7 @@ class PowerSeries:
         if f0 == 0:
             raise NonUnitError("series with zero constant term has no inverse")
         inv0 = 1 / f0
-        out = [inv0] + [Fraction(0)] * self.order
-        for n in range(1, self.order + 1):
-            acc = Fraction(0)
-            for j in range(1, n + 1):
-                fj = self.coeffs[j]
-                if fj != 0:
-                    acc += fj * out[n - j]
-            out[n] = -inv0 * acc
-        return PowerSeries(out)
+        return _triangular(inv0, self.coeffs, lambda n: -inv0)
 
     def derivative(self) -> "PowerSeries":
         """Term-wise d/dt; the truncation order drops by one."""
@@ -155,17 +148,9 @@ class PowerSeries:
         """Formal exponential; requires a zero constant term to stay rational."""
         if self.coeffs[0] != 0:
             raise DomainError("exp needs constant term 0; e^c is not rational otherwise")
-        n = self.order
-        out = [Fraction(1)] + [Fraction(0)] * n
         # E' = f' E  =>  k e_k = sum_{j=1..k} j f_j e_{k-j}
-        for k in range(1, n + 1):
-            acc = Fraction(0)
-            for j in range(1, k + 1):
-                fj = self.coeffs[j]
-                if fj != 0:
-                    acc += j * fj * out[k - j]
-            out[k] = acc / k
-        return PowerSeries(out)
+        weights = [j * c for j, c in enumerate(self.coeffs)]
+        return _triangular(Fraction(1), weights, lambda k: Fraction(1, k))
 
     def log(self) -> "PowerSeries":
         """Formal logarithm; requires constant term 1."""
@@ -187,11 +172,8 @@ class PowerSeries:
 
     def partial_sums(self) -> "PowerSeries":
         """Multiply by 1/(1-t): coefficient n becomes the n-th prefix sum."""
-        out = []
-        acc = Fraction(0)
-        for c in self.coeffs:
-            acc += c
-            out.append(acc)
+        out = list(self.coeffs)
+        _prefix_pass(out)
         return PowerSeries(out)
 
     def to_strings(self) -> list[str]:
@@ -207,6 +189,17 @@ class PowerSeries:
 
     def __str__(self) -> str:
         return f"{_terms_text(enumerate(self.coeffs), 't')} + O(t^{self.order + 1})"
+
+
+def _triangular(out0: Fraction, weights: Sequence, scale: Callable[[int], Fraction]) -> PowerSeries:
+    """The series with out_0 = out0 and out_n = scale(n) * sum_{j=1..n}
+    weights[j] * out_(n-j), through the order of ``weights``: the O(n^2)
+    recurrence of a series inverse and of a series exponential."""
+    out = [out0]
+    for n in range(1, len(weights)):
+        acc = sum((w * o for w, o in zip(weights[1 : n + 1], reversed(out)) if w), Fraction(0))
+        out.append(scale(n) * acc)
+    return PowerSeries(out)
 
 
 def geometric_series(ratio: RationalLike, order: int) -> PowerSeries:
@@ -233,29 +226,20 @@ def log1p_series(order: int) -> PowerSeries:
 
 
 def cosh_series(order: int) -> PowerSeries:
-    """Even series with coefficients 1/(2m)! at t^(2m)."""
-    out = [Fraction(0)] * (order + 1)
-    fact = 1
-    for n in range(order + 1):
-        if n:
-            fact *= n
-        if n % 2 == 0:
-            out[n] = Fraction(1, fact)
-    return PowerSeries(out)
+    """Even series with coefficients 1/(2m)! at t^(2m): the even part of
+    the exponential, refused (no t^0 term) for a negative order."""
+    coeffs = exp_series(1, order).coeffs[: order + 1]
+    return PowerSeries([0 if n % 2 else c for n, c in enumerate(coeffs)])
 
 
-class EulerTable:
+class EulerTable(_Frozen):
     """Zigzag integers E_0..E_n from the reciprocal cosh expansion; an
     immutable value compared, hashed and shown by its values."""
 
+    __slots__ = ("values",)
+
     def __init__(self, values: tuple[int, ...]):
         object.__setattr__(self, "values", values)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

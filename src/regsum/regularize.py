@@ -156,7 +156,7 @@ def _reduction_symbols(T: OperatorSpec, d: int) -> list[PowerSeries]:
     degree-lowering remainder.  Only these coefficients can act on a
     polynomial of degree d, so a symbol of T shorter than d is refused."""
     T._check_reach(d)
-    r_symbol = PowerSeries([0, *T.symbol.coeffs[1 : d + 1]])
+    r_symbol = T.remainder()[1].symbol.truncate(d)
     powers = [PowerSeries.constant(1, d)]
     for _ in range(d):
         powers.append(powers[-1] * r_symbol)

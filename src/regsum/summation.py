@@ -20,7 +20,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .algebra import ParseError, RationalLike, _scale_to_ints, as_rational, format_rational
+from .algebra import (ParseError, RationalLike, _prefix_pass, _scale_to_ints, as_rational,
+                      format_rational)
 from .budgets import (
     DEFAULT_ORDER_CAP,
     DEFAULT_TERMS,
@@ -136,29 +137,22 @@ def _sig12(x: float) -> Optional[float]:
     return float(f"{x:.12g}")
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class LogValue:
     """The exact real a + b*log(q), with a, b and q > 0 rational: ``altlog``'s
     v_0 = log(1 + c), and a sum over it.  Immutable; equal when (a, b, q)
     are.  ``float()`` rounds it once: log q comes from ``decimal`` at a
     precision raised until a and b*log q cannot cancel."""
 
-    __slots__ = ("a", "b", "q")
+    a: Fraction
+    b: Fraction
+    q: Fraction
 
-    def __init__(self, a: RationalLike, b: RationalLike, q: RationalLike):
-        for name, value in zip(self.__slots__, (a, b, q)):
-            object.__setattr__(self, name, as_rational(value))
+    def __post_init__(self):
+        for name in self.__slots__:
+            object.__setattr__(self, name, as_rational(getattr(self, name)))
         if self.q <= 0:
             raise ValueError(f"log argument must be positive, got {self.q}")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LogValue is immutable")
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, LogValue)
-                and (self.a, self.b, self.q) == (other.a, other.b, other.q))
-
-    def __hash__(self) -> int:
-        return hash((self.a, self.b, self.q))
 
     def __repr__(self) -> str:
         return f"LogValue({self.a!r}, {self.b!r}, {self.q!r})"
@@ -410,14 +404,6 @@ def _scaled_terms(a: SeriesSpec, count: int) -> tuple[list[int], int]:
         if not isinstance(t, (int, Fraction)):
             raise TypeError(f"series term {t!r} is not an exact rational")
     return terms, _scale_to_ints(terms)
-
-
-def _prefix_pass(values: list[int]) -> None:
-    # In place: a second list of (possibly long) ints would double the peak.
-    acc = 0
-    for i, v in enumerate(values):
-        acc += v
-        values[i] = acc
 
 
 def _ratio(num: int, den: int) -> float:

@@ -1,7 +1,9 @@
 """Polynomial arithmetic, parsing, and formatting."""
 
+import copy
 import gc
 import math
+import pickle
 import random
 import tracemalloc
 from fractions import Fraction
@@ -376,6 +378,26 @@ def test_coefficients_cannot_be_reassigned():
         p.coeffs = [3]
     assert p.coeffs == (1, Fraction(1, 2))
     assert p in table and table[Polynomial(["1", "1/2"])] == 1
+
+
+@pytest.mark.parametrize("field", ["nums", "den"])
+def test_stored_fields_can_be_neither_assigned_nor_deleted(field):
+    p = Polynomial([1, Fraction(1, 2)])
+    table = {p: 1}
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{field}'"):
+        setattr(p, field, 0)
+    with pytest.raises(AttributeError, match=f"cannot delete field '{field}'"):
+        delattr(p, field)
+    assert (p.nums, p.den) == ((2, 1), 2) and p(2) == 2
+    assert p in table and table[Polynomial(["1", "1/2"])] == 1
+
+
+def test_copies_and_pickles_keep_the_stored_form():
+    p = Polynomial([Fraction(-1, 3), 0, 5])
+    for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert q == p and (q.nums, q.den) == (p.nums, p.den) and hash(q) == hash(p)
+        with pytest.raises(AttributeError):
+            q.den = 1
 
 
 # Denominators with dividing chains (2 | 4 | 8, 3 | 9 | 27) and coprime

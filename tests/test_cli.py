@@ -104,6 +104,16 @@ def test_sum_default_operator_uses_h(capsys):
     assert text_fields(out)["value_exact"] == "-1/2"
 
 
+@pytest.mark.parametrize("op", ["delta:1", "shift:1", "diff"])
+def test_sum_refuses_h_beside_op(capsys, op):
+    # --h is the step of the default shift only; with --op it was dropped
+    # silently while the request echo still showed it.
+    code, out, err = run(capsys, "sum", "--series", "alt", f"--op={op}", "--h", "5",
+                         "--poly", "x^2", "-o", "json")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --h: ") and "--op" in err
+
+
 def test_sum_difference_operator(capsys):
     code, out, _ = run(capsys, "sum", "--series", "alt", "--op", "delta:1",
                        "--poly", "x", "--x", "0")
@@ -922,20 +932,45 @@ def test_each_supported_python_gives_the_same_output(version):
         pytest.skip("the running interpreter is the reference")
     env = {k: v for k, v in os.environ.items() if k != "REGSUM_TERMS"}
     env["PYTHONPATH"] = str(SRC)
-    python = shutil.which(f"python{version}")
-    if python is None or subprocess.run([python, "-c", "pass"], env=env,
-                                        capture_output=True, timeout=60).returncode:
+    found = _starting_python(version, env)
+    if found is None:
         pytest.skip(f"python{version} does not start here")
 
-    def outputs(interpreter):
+    def outputs(interpreter, env):
         procs = [subprocess.run([interpreter, "-m", "regsum", *argv], env=env,
                                 capture_output=True, timeout=120)
                  for argv in INTERPRETER_ARGVS]
         return [(p.returncode, p.stdout, p.stderr) for p in procs]
 
-    expect = outputs(sys.executable)
+    expect = outputs(sys.executable, env)
     assert [code for code, _, _ in expect] == [0, 0, 0, 0, 1]
-    assert outputs(python) == expect
+    assert outputs(*found) == expect
+
+
+def _starting_python(version, env):
+    """(path of pythonX.Y, the environment it starts in), or None.  A pyenv
+    shim exits 127 unless PYENV_VERSION names an installed version, so a
+    name that does not start is tried again with the newest installed
+    X.Y.* under `pyenv root` named."""
+    python = shutil.which(f"python{version}")
+    if python is None:
+        return None
+    tries = [env]
+    pyenv = shutil.which("pyenv")
+    root = pyenv and subprocess.run([pyenv, "root"], capture_output=True, text=True,
+                                    timeout=60).stdout.strip()
+    if root:
+        installed = [tuple(map(int, p.name.split(".")))
+                     for p in Path(root, "versions").glob(f"{version}.*")
+                     if p.name.count(".") == 2 and p.name.replace(".", "").isdigit()]
+        if installed:
+            newest = ".".join(map(str, max(installed)))
+            tries.append({**env, "PYENV_VERSION": newest})
+    for attempt in tries:
+        if not subprocess.run([python, "-c", "pass"], env=attempt,
+                              capture_output=True, timeout=60).returncode:
+            return python, attempt
+    return None
 
 
 # ---------------------------------------------------------------------------

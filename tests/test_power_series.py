@@ -1,6 +1,8 @@
 """Truncated power series arithmetic."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import example, given, strategies as st
 
 from regsum.power_series import (
     DomainError,
+    EulerTable,
     NonUnitError,
     OrderExceededError,
     PowerSeries,
@@ -25,6 +28,24 @@ small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 def test_constructor_requires_a_term():
     with pytest.raises(ValueError):
         PowerSeries([])
+
+
+def test_coefficients_can_be_neither_assigned_nor_deleted():
+    s = PowerSeries([1, 2])
+    with pytest.raises(AttributeError, match="cannot assign to field 'coeffs'"):
+        s.coeffs = [1.5]
+    with pytest.raises(AttributeError, match="cannot delete field 'coeffs'"):
+        del s.coeffs
+    assert s.coeffs == (1, 2) and s.inverse().coeffs == (1, -2)
+
+
+def test_copies_and_pickles_are_equal_values():
+    for value, field in ((PowerSeries(["1/2", "-3", "0"]), "coeffs"),
+                         (EulerTable((1, 0, -1)), "values")):
+        for other in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert other == value and repr(other) == repr(value)
+            with pytest.raises(AttributeError):
+                delattr(other, field)
 
 
 def test_order_and_coeff():
@@ -178,6 +199,74 @@ def test_cosh_series_even_coefficients():
     for n in range(9):
         expect = Fraction(1, math.factorial(n)) if n % 2 == 0 else Fraction(0)
         assert c.coeff(n) == expect
+
+
+@given(st.lists(small_rationals, min_size=1, max_size=13))
+def test_partial_sums_are_a_fraction_running_sum(cs):
+    running, acc = [], Fraction(0)
+    for c in cs:
+        acc += c
+        running.append(acc)
+    assert PowerSeries(cs).partial_sums().coeffs == tuple(running)
+
+
+def _factorial_loop_cosh(order):
+    # cosh_series as a factorial counter, written out
+    out = [Fraction(0)] * (order + 1)
+    fact = 1
+    for n in range(order + 1):
+        if n:
+            fact *= n
+        if n % 2 == 0:
+            out[n] = Fraction(1, fact)
+    return out
+
+
+def test_cosh_series_matches_a_factorial_loop():
+    for n in range(61):
+        assert cosh_series(n).coeffs == tuple(_factorial_loop_cosh(n)), n
+    for n in (-1, -2):
+        with pytest.raises(ValueError):
+            cosh_series(n)
+
+
+def _inverse_loop(coeffs):
+    # out_n = -(1/f_0) sum_{j=1..n} f_j out_(n-j), written out
+    inv0 = 1 / coeffs[0]
+    out = [inv0] + [Fraction(0)] * (len(coeffs) - 1)
+    for n in range(1, len(coeffs)):
+        acc = Fraction(0)
+        for j in range(1, n + 1):
+            if coeffs[j] != 0:
+                acc += coeffs[j] * out[n - j]
+        out[n] = -inv0 * acc
+    return out
+
+
+def _exp_loop(coeffs):
+    # k e_k = sum_{j=1..k} j f_j e_(k-j), written out
+    out = [Fraction(1)] + [Fraction(0)] * (len(coeffs) - 1)
+    for k in range(1, len(coeffs)):
+        acc = Fraction(0)
+        for j in range(1, k + 1):
+            if coeffs[j] != 0:
+                acc += j * coeffs[j] * out[k - j]
+        out[k] = acc / k
+    return out
+
+
+rational_series = st.lists(
+    st.fractions(min_value=-50, max_value=50, max_denominator=40), min_size=1, max_size=13)
+
+
+@given(rational_series)
+@example([Fraction(1)])
+@example([Fraction(-2, 3)] + [Fraction(0)] * 12)
+def test_inverse_and_exp_match_their_loops(cs):
+    if cs[0] != 0:
+        assert PowerSeries(cs).inverse().coeffs == tuple(_inverse_loop(cs))
+    tail = [Fraction(0)] + cs[1:]
+    assert PowerSeries(tail).exp().coeffs == tuple(_exp_loop(tail))
 
 
 def test_cosh_inverse_starts_like_sech():

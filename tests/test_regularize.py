@@ -271,6 +271,8 @@ def _derivatives_or_decline(f, c, method, k_max):
     ("alt", 1), ("altlog", 1), ("geom:-1", 1), ("geom:1/2", Fraction(1, 3)), ("table", 1),
 ])
 def test_a_kept_table_answers_as_a_fresh_call_would(name, c, method):
+    # "kept" is one series object asked again and again: each answer must
+    # equal a fresh series' answer.
     kept = _table_series(name)
     declines = []
     for k_max in (2, 6, 0, 6):
@@ -333,7 +335,7 @@ def test_a_sum_reads_the_terms_as_they_are_now():
 
 
 @pytest.mark.parametrize("name", ["geom:-1", "altlog"])
-def test_a_table_keeps_only_its_per_order_results(name):
+def test_a_numeric_reg_sum_keeps_nothing_after_the_call(name):
     # The integer block (about 3 MB for altlog's numeric v_0) and the a_n
     # memo must not outlive the call.
     f = parse_with_numeric_v0(name)
@@ -351,7 +353,7 @@ def test_a_table_keeps_only_its_per_order_results(name):
     assert peak < 4_000_000, peak
 
 
-def test_dropped_products_leave_no_tables():
+def test_dropped_products_leave_nothing_behind():
     # Each product is a series_custom of 4,001 kept terms; once the caller
     # lets go of the products nothing of them stays.
     method = SummationMethod("cesaro", order="auto")

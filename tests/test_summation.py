@@ -3,6 +3,7 @@
 import gc
 import json
 import math
+import pickle
 import random
 import tracemalloc
 from decimal import Decimal, localcontext
@@ -133,6 +134,27 @@ def test_log_value_text_and_identity():
     with pytest.raises(ValueError):
         LogValue(0, 1, 0)
     assert float(value) == 2.9091374046170846
+
+
+def test_log_value_fields_can_be_neither_assigned_nor_deleted():
+    value = LogValue(Fraction(1, 2), -3, "4/3")
+    table = {value: 1}
+    for name in ("a", "b", "q"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert math.isclose(float(value), 0.5 - 3 * math.log(4 / 3), rel_tol=1e-15)
+    assert value in table and table[LogValue("1/2", "-3", Fraction(4, 3))] == 1
+    copied = pickle.loads(pickle.dumps(value))
+    assert copied == value and hash(copied) == hash(value)
+
+
+def test_log_value_repr():
+    assert repr(LogValue(Fraction(-73605, 256), 419, 2)) == (
+        "LogValue(Fraction(-73605, 256), Fraction(419, 1), Fraction(2, 1))")
+    assert repr(LogValue("1/2", 0, 1)) == (
+        "LogValue(Fraction(1, 2), Fraction(0, 1), Fraction(1, 1))")
 
 
 def test_log_value_float_is_one_rounding():
@@ -399,7 +421,7 @@ def test_cauchy_product_refuses_float_terms():
         cauchy_product(ALT, floats).term(3)
 
 
-def test_cauchy_product_cache_stays_under_its_stated_bound():
+def test_a_held_cauchy_product_stays_under_its_stated_bound():
     # The docstring's figures: an altlog x alt product, held here, grows at
     # most quadratically from n = 500 to n = 4000, and four such products
     # stay under 48 MB.
@@ -453,8 +475,8 @@ def test_a_custom_series_keeps_no_term_past_the_default_budget():
 
 
 def test_a_custom_series_memo_size_after_reg_sum():
-    # 4001 kept Fractions of a few digits each, plus the derivative table
-    # whose key holds the series (README gives the same bound)
+    # 4001 kept Fractions of a few digits each, held by the series
+    # (README gives the same bound)
     T, P = op_shift(1), parse_polynomial("x^3")
     gc.collect()
     tracemalloc.start()
