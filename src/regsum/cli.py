@@ -46,15 +46,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NOT_REGULAR = 2
 
-# --method literal -> (engine, order); "cesaro:k" also takes k = 0..MAX_ORDER_CAP.
-_METHODS = {
-    "exact": ("exact", 0),
-    "classical": ("classical", 0),
-    "abel": ("abel", 2),
-    "cesaro": ("cesaro", "auto"),
-    "cesaro:auto": ("cesaro", "auto"),
-}
-
 
 class CliError(Exception):
     """Bad arguments or literals; maps to exit code 1."""
@@ -89,19 +80,21 @@ def _mean_order(text: str, flag: str) -> int:
 
 
 def _parse_method(text: str, args: argparse.Namespace):
+    """A --method literal: exact, classical, abel, or cesaro[:k|:auto]."""
     from .summation import SummationMethod
 
     text = text.strip()
-    if text in _METHODS:
-        name, order = _METHODS[text]
-    elif text.startswith("cesaro:"):
-        name, order = "cesaro", _mean_order(text[7:], "--method")
+    tag, colon, order = text.partition(":")
+    if text in ("exact", "classical", "abel", "cesaro", "cesaro:auto"):
+        order = "auto"
+    elif tag == "cesaro" and colon:
+        order = _mean_order(order, "--method")
     else:
         raise CliError(
             f"--method: unknown method {text!r} "
             "(expected cesaro[:k|:auto], abel, classical, or exact)"
         )
-    return SummationMethod(name, order=order, n_max=args.n_max, tol=args.tol)
+    return SummationMethod(tag, order=order, n_max=args.n_max, tol=args.tol)
 
 
 def _check_budget(args: argparse.Namespace) -> None:
@@ -294,17 +287,15 @@ def cmd_euler(args: argparse.Namespace) -> int:
 
 def cmd_engine(args: argparse.Namespace) -> int:
     """The cesaro and abel subcommands: one numeric engine on a series literal."""
-    from .summation import abel_limit, cesaro_auto, cesaro_limit, parse_series
+    from .summation import SummationMethod, evaluate, parse_series
 
     _check_budget(args)
     series = _literal(parse_series, args.series, "--series")
-    if args.subcommand == "abel":
-        report = abel_limit(series, tol=args.tol, max_terms=args.n_max)
-    elif args.order == "auto":
-        report = cesaro_auto(series, N=args.n_max, tol=args.tol)
-    else:
-        k = _mean_order(args.order, "--k")
-        report = cesaro_limit(series, k, N=args.n_max, tol=args.tol)
+    order = "auto"
+    if args.subcommand == "cesaro" and args.order != "auto":
+        order = _mean_order(args.order, "--k")
+    method = SummationMethod(args.subcommand, order=order, n_max=args.n_max, tol=args.tol)
+    report = evaluate(series, method)
     fields = report.to_json_dict()
     return _emit(args, _field_lines(fields), fields, report.converged)
 

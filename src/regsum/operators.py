@@ -12,20 +12,21 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import ParseError, Polynomial, RationalLike, _derivative_sum, as_rational
+from .algebra import ParseError, Polynomial, RationalLike, _derivative_sum, _Frozen, as_rational
 from .power_series import OrderExceededError, PowerSeries, exp_series
 
 DEFAULT_SYMBOL_ORDER = 16
 
 
-class OperatorSpec:
-    """A translation-invariant operator, identified by its symbol series."""
+class OperatorSpec(_Frozen):
+    """A translation-invariant operator, identified by its symbol series.
+    Its symbol and label can be neither assigned nor deleted."""
 
     __slots__ = ("symbol", "label")
 
     def __init__(self, symbol: PowerSeries, label: str | None = None):
-        self.symbol = symbol
-        self.label = label
+        object.__setattr__(self, "symbol", symbol)
+        object.__setattr__(self, "label", label)
 
     @property
     def constant(self) -> Fraction:

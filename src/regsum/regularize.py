@@ -31,6 +31,7 @@ from .summation import (
     SeriesSpec,
     SummationMethod,
     _block_limit,
+    _exact_term,
     _ratio,
     _scaled_terms,
     cauchy_product,
@@ -91,18 +92,18 @@ def reg_derivatives(
     values, reports = [], []
     for k, value in enumerate(closed):
         if value is None and c == 0:
-            value = Fraction(math.factorial(k)) * f.term(k)
+            value = Fraction(math.factorial(k)) * _exact_term(f.term(k))
         report = None
         if value is None:
             if method.tag == "exact":
                 raise NotRegularError(
-                    f"no closed form for derivative order {k} of {f.label or f.kind} "
+                    f"no closed form for derivative order {k} of {f.label} "
                     f"at c={c}; use a numeric method"
                 )
             report = _block_limit(*next(blocks), method)
             if not report.converged:
                 raise NotRegularError(
-                    f"derivative order {k} of {f.label or f.kind} at c={c} did not "
+                    f"derivative order {k} of {f.label} at c={c} did not "
                     f"converge under {method.describe()} "
                     f"(residual {report.residual:.3g}, tol {method.tol:g})",
                     report,
@@ -204,7 +205,7 @@ def reg_operator(
         v = derivs.values[k]
         if v != 0:
             acc = acc + power * (v / math.factorial(k))
-    return OperatorSpec(acc, label=f"regularized[{f.label or f.kind}]")
+    return OperatorSpec(acc, label=f"regularized[{f.label}]")
 
 
 def reg_sum(

@@ -52,13 +52,14 @@ class SeriesSpec:
     ``alt``, ``altlog`` and ``geom:r`` carry the one rule of
     ``_geometric_rule``, ``table:`` and custom series none.
 
-    A ``series_custom`` keeps its terms a_0..a_DEFAULT_TERMS after the
-    first read, so every engine over one such object reads them once.
+    ``label`` names the series in messages and in ``regularized[...]``
+    operator labels.  A ``series_custom`` keeps its terms a_0..a_DEFAULT_TERMS
+    after the first read, so every engine over one such object reads them
+    once.
     """
 
     term: Callable[[int], Fraction]
-    kind: str = "custom"
-    label: str = ""
+    label: str = "custom"
     exact_reg_deriv: Optional[
         Callable[[int, Fraction, "SummationMethod"], Union[Fraction, "LogValue", None]]
     ] = None
@@ -72,7 +73,8 @@ class SummationMethod:
     """Which limit notion to use and its working budget.
 
     tag: "classical", "cesaro", "abel", or "exact" (closed forms only).
-    order: iterated-mean order k for "cesaro", or "auto" to escalate.
+    order: iterated-mean order k for "cesaro", or "auto" to escalate; no
+        other tag reads it.
     tol: positive and finite; every engine reads it from here.
     """
 
@@ -218,7 +220,7 @@ def _geometric_rule(r: Fraction, lag: int = 0):
 
 def series_alt() -> SeriesSpec:
     """a_n = (-1)^n, the alternating unit series: ``geom:-1`` by its own name."""
-    return replace(series_geometric(-1), kind="alt_geometric", label="alt")
+    return replace(series_geometric(-1), label="alt")
 
 
 def series_alt_log() -> SeriesSpec:
@@ -230,8 +232,7 @@ def series_alt_log() -> SeriesSpec:
             return Fraction(0)
         return Fraction(1 if n % 2 == 1 else -1, n)
 
-    return SeriesSpec(term, kind="alt_log", label="altlog",
-                      exact_reg_deriv=_geometric_rule(Fraction(-1), lag=1))
+    return SeriesSpec(term, "altlog", _geometric_rule(Fraction(-1), lag=1))
 
 
 def series_geometric(ratio: RationalLike) -> SeriesSpec:
@@ -249,8 +250,7 @@ def series_geometric(ratio: RationalLike) -> SeriesSpec:
         last[:] = n, value
         return value
 
-    return SeriesSpec(term, kind="geometric", label=f"geom:{r}",
-                      exact_reg_deriv=_geometric_rule(r))
+    return SeriesSpec(term, f"geom:{r}", _geometric_rule(r))
 
 
 def series_table(values: Sequence[RationalLike]) -> SeriesSpec:
@@ -260,14 +260,14 @@ def series_table(values: Sequence[RationalLike]) -> SeriesSpec:
     def term(n: int) -> Fraction:
         return vals[n] if 0 <= n < len(vals) else Fraction(0)
 
-    return SeriesSpec(term, kind="table", label=f"table[{len(vals)}]")
+    return SeriesSpec(term, f"table[{len(vals)}]")
 
 
 def series_custom(term: Callable[[int], Fraction], label: str = "custom") -> SeriesSpec:
     """A series of the caller's terms.  a_0..a_DEFAULT_TERMS (every engine's
     default budget) are computed once, in order, and kept while the series
     lives, so all its readers share them; later terms are computed per read."""
-    return SeriesSpec(_memoized(term, DEFAULT_TERMS + 1), kind="custom", label=label)
+    return SeriesSpec(_memoized(term, DEFAULT_TERMS + 1), label)
 
 
 def parse_series(text: str) -> SeriesSpec:
@@ -308,8 +308,17 @@ def parse_series(text: str) -> SeriesSpec:
 # Sequence combinators
 
 
-def _memoized(term: Callable[[int], Fraction], bound: int) -> Callable[[int], Fraction]:
-    """term, keeping its values for n < bound; later n are not kept."""
+def _exact_term(t: Fraction) -> Fraction:
+    """t, refused with TypeError unless an int or a Fraction: every engine
+    and closed-form reader of series terms checks them here.  Floats have
+    as_integer_ratio too, so the type is what is checked."""
+    if not isinstance(t, (int, Fraction)):
+        raise TypeError(f"series term {t!r} is not an exact rational")
+    return t
+
+
+def _memoized(term: Callable[[int], Fraction], bound: float) -> Callable[[int], Fraction]:
+    """term, read in order and kept for n < bound; later n are not kept."""
     cache: list[Fraction] = []
 
     def cached(n: int) -> Fraction:
@@ -326,18 +335,13 @@ def _memoized(term: Callable[[int], Fraction], bound: int) -> Callable[[int], Fr
 
 def partial_sums(a: SeriesSpec) -> SeriesSpec:
     """The running-total sequence of a, exact, memoized; reads each a_n once."""
-    sums: list[Fraction] = []
 
-    def term(n: int) -> Fraction:
-        if n < 0:
-            raise IndexError("series index must be nonnegative")
-        while len(sums) <= n:
-            i = len(sums)
-            prev = sums[-1] if sums else Fraction(0)
-            sums.append(prev + a.term(i))
-        return sums[n]
+    def total(n: int) -> Fraction:
+        # _memoized fills in order, so sums(n - 1) is already kept
+        return (sums(n - 1) if n else Fraction(0)) + a.term(n)
 
-    return SeriesSpec(term, kind="custom", label=f"sums({a.label})")
+    sums = _memoized(total, math.inf)
+    return SeriesSpec(sums, f"sums({a.label})")
 
 
 def cauchy_product(a: SeriesSpec, b: SeriesSpec) -> SeriesSpec:
@@ -377,9 +381,7 @@ class _IntTerms:
         """The numerators, read through term n at least."""
         nums = self.nums
         while len(nums) <= n:
-            t = self.term(len(nums))
-            if not isinstance(t, (int, Fraction)):
-                raise TypeError(f"series term {t!r} is not an exact rational")
+            t = _exact_term(self.term(len(nums)))
             d = t.denominator
             if self.den % d:
                 grow = d // math.gcd(self.den, d)
@@ -400,9 +402,7 @@ def _scaled_terms(a: SeriesSpec, count: int) -> tuple[list[int], int]:
     are read."""
     terms = a.terms(count)
     for t in terms:
-        # Floats have as_integer_ratio too, so the type is checked first.
-        if not isinstance(t, (int, Fraction)):
-            raise TypeError(f"series term {t!r} is not an exact rational")
+        _exact_term(t)
     return terms, _scale_to_ints(terms)
 
 
@@ -550,13 +550,14 @@ def abel_limit(
     float cancellation noise (machine epsilon times sum |a_n| t^n) crossing
     tol/10, beyond which deeper points only add noise, and a point that
     would read terms past index ``max_terms`` (None: no bound).  Each a_n is
-    read as its correctly rounded float, infinite beyond the float range.
+    read as its correctly rounded float, infinite beyond the float range;
+    terms must be ints or Fractions (TypeError otherwise).
     Fewer than three points give no extrapolant, which is reported as not
     converged.
     """
     term = a.term
-    return _abel_scan(lambda n: _ratio(*term(n).as_integer_ratio()), tol, max_terms,
-                      schedule, term_budget_per_point)
+    return _abel_scan(lambda n: _ratio(*_exact_term(term(n)).as_integer_ratio()),
+                      tol, max_terms, schedule, term_budget_per_point)
 
 
 def _abel_scan(
@@ -575,7 +576,7 @@ def _abel_scan(
     if any(b <= a_ for a_, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must increase strictly toward 1")
     budget = term_budget_per_point or default_abel_budget
-    method = SummationMethod("abel", order=2, tol=tol)
+    method = SummationMethod("abel", tol=tol)
 
     eps = math.ulp(1.0)
     fvals: list[float] = []
@@ -662,7 +663,7 @@ def shift_check(a: SeriesSpec, method: SummationMethod) -> tuple[float, float]:
     left = evaluate(a, method)
     if not left.converged:
         raise NotConvergedError(f"left side did not converge under {method.describe()}", left)
-    shifted = SeriesSpec(lambda n: a.term(n + 1), kind="custom", label=f"shift({a.label})")
+    shifted = SeriesSpec(lambda n: a.term(n + 1), f"shift({a.label})")
     right = evaluate(shifted, method)
     if not right.converged:
         raise NotConvergedError(f"shifted side did not converge under {method.describe()}", right)

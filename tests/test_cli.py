@@ -1,9 +1,12 @@
 """Command-line interface: subcommands, output modes, exit codes."""
 
+import argparse
 import io
 import json
 import math
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -326,6 +329,46 @@ def test_a_fixed_mean_order_is_capped(capsys, argv, flag):
     code, out, err = run(capsys, *argv, value.format(MAX_ORDER_CAP + 1))
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {flag}:") and str(MAX_ORDER_CAP) in err
+
+
+@pytest.mark.parametrize("text, tag, order", [
+    ("exact", "exact", None),
+    ("classical", "classical", None),
+    ("abel", "abel", None),
+    ("cesaro", "cesaro", "auto"),
+    (" cesaro:auto ", "cesaro", "auto"),
+    ("cesaro:0", "cesaro", 0),
+    ("cesaro:12", "cesaro", 12),
+])
+def test_parse_method_literals(text, tag, order):
+    # order is the iterated-mean order; only cesaro literals set it
+    args = argparse.Namespace(n_max=64, tol=0.01)
+    expected = SummationMethod(tag, n_max=64, tol=0.01)
+    if order is not None:
+        expected = SummationMethod(tag, order=order, n_max=64, tol=0.01)
+    assert cli._parse_method(text, args) == expected
+
+
+@pytest.mark.parametrize("text", ["cesaro:", "cesaro:13", "cesaro: auto", "abel:2", "bogus"])
+def test_parse_method_refuses_other_literals(text):
+    with pytest.raises(cli.CliError, match="^--method: "):
+        cli._parse_method(text, argparse.Namespace(n_max=64, tol=0.01))
+
+
+@pytest.mark.parametrize("argv, engine", [
+    (("abel", "--series", "altlog"), lambda a: summation.abel_limit(a, max_terms=4000)),
+    (("abel", "--series", "geom:-2"), lambda a: summation.abel_limit(a, max_terms=4000)),
+    (("cesaro", "--series", "alt", "--k", "1"), lambda a: summation.cesaro_limit(a, 1)),
+    (("cesaro", "--series", "geom:-2"), summation.cesaro_auto),
+])
+def test_engine_commands_report_what_the_library_gives(capsys, monkeypatch, argv, engine):
+    monkeypatch.delenv("REGSUM_TERMS", raising=False)
+    code, out, _ = run(capsys, *argv, "-o", "json")
+    payload = strict_json(out)
+    del payload["request"]
+    report = engine(parse_series(argv[2]))
+    assert payload == report.to_json_dict()
+    assert code == (0 if report.converged else 2)
 
 
 def test_abel_subcommand(capsys):
@@ -1095,3 +1138,41 @@ def test_poly_and_operator_literal_fuzz(argv):
         assert strict_json(out.getvalue())["request"]["subcommand"] == "sum"
     elif out.getvalue() == "":
         assert code == 2 and err.getvalue().startswith("error:")
+
+
+# ---------------------------------------------------------------------------
+# README examples
+
+
+def _readme_examples():
+    """(command, shown lines) for each ``$ regsum ...`` line of the README's
+    Examples section, with a trailing ``| ...`` pipe dropped from the command,
+    each named by its command."""
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Examples", 1)[1].split("\n### ", 1)[0]
+    examples = []
+    for block in re.split(r"\n(?=\$ )", section.split("```sh\n", 1)[1].split("```", 1)[0]):
+        command, *shown = block.strip().splitlines()
+        command = command[2:].split("|")[0].strip()
+        examples.append(pytest.param(command, shown, id=command))
+    return examples
+
+
+@pytest.mark.parametrize("command, shown", _readme_examples())
+def test_readme_examples_print_what_they_show(capsys, monkeypatch, command, shown):
+    monkeypatch.delenv("REGSUM_TERMS", raising=False)
+    argv = shlex.split(command)
+    assert argv[0] == "regsum"
+    code, out, err = run(capsys, *argv[1:])
+    assert (code, err) == (0, "")
+    if "json" in argv:
+        assert json.loads(out) == json.loads(" ".join(shown))
+        return
+    # each run of shown lines between "..." elisions is a slice of the output, in order
+    lines, at = out.splitlines(), 0
+    for run_text in "\n".join(shown).split("..."):
+        part = run_text.strip("\n").splitlines()
+        while part and lines[at:at + len(part)] != part:
+            at += 1
+            assert at < len(lines), f"{part!r} not in {lines!r}"
+        at += len(part)

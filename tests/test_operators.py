@@ -1,6 +1,8 @@
 """Operators that commute with translation, stored by symbol."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -169,3 +171,21 @@ def test_parse_symbol_matches_shift():
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ParseError):
         parse_operator(bad)
+
+
+@pytest.mark.parametrize("field", ["symbol", "label"])
+def test_fields_can_be_neither_assigned_nor_deleted(field):
+    T = parse_operator("shift:1")
+    p = Polynomial([1, 2])
+    with pytest.raises(AttributeError):
+        setattr(T, field, "x")
+    with pytest.raises(AttributeError):
+        delattr(T, field)
+    assert T.label == "shift:1" and T.apply(p) == Polynomial([3, 2])
+
+
+def test_copies_and_pickles_are_equal_operators():
+    T = parse_operator("delta:1/2", order=6)
+    for copied in (copy.deepcopy(T), pickle.loads(pickle.dumps(T))):
+        assert copied == T and copied.label == T.label
+        assert repr(copied) == repr(T)

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from regsum.algebra import ParseError, Polynomial, format_rational, parse_polynomial
 from regsum.checks import _normalized_alt_instance
-from regsum.operators import op_shift
+from regsum.operators import op_diff, op_shift
 from regsum.regularize import euler_alt_sum, reg_sum
 from regsum.summation import (
     ConvergenceReport,
@@ -238,8 +238,6 @@ def test_geometric_rule_matches_both_engines(r, lag, c):
 
 
 def test_parse_series_forms(tmp_path):
-    assert parse_series("alt").kind == "alt_geometric"
-    assert parse_series("altlog").kind == "alt_log"
     geom = parse_series("geom:-3/4")
     assert geom.term(2) == Fraction(9, 16)
     path = tmp_path / "coeffs.json"
@@ -353,6 +351,15 @@ def test_partial_sums_read_each_term_once():
         for n in (5, 2, 9, 9)
     ]
     assert reads == list(range(10))
+
+
+def test_partial_sums_of_int_terms_are_fractions():
+    sums = partial_sums(SeriesSpec(lambda n: n))
+    assert [sums.term(n) for n in (4, 0, 6)] == [10, 0, 21]
+    assert all(type(t) is Fraction for t in sums.terms(8))
+    with pytest.raises(IndexError, match="nonnegative"):
+        sums.term(-1)
+    assert sums.label == "sums(custom)"
 
 
 def test_iterated_prefix_sums_match_binomial_convolution():
@@ -597,6 +604,24 @@ def test_cesaro_rejects_inexact_terms():
         cesaro_limit(floats, 1, N=16)
     with pytest.raises(TypeError):
         cesaro_auto(floats, N=16)
+
+
+FLOAT_READERS = {
+    "abel_limit": abel_limit,
+    "evaluate-abel": lambda a: evaluate(a, SummationMethod("abel")),
+    "evaluate-cesaro": lambda a: evaluate(a, SummationMethod("cesaro")),
+    "cauchy_product": lambda a: cauchy_product(ALT, a).term(3),
+    # at c = 0 the derivative values are k! a_k, read with no engine
+    "reg_sum-c0": lambda a: reg_sum(a, op_diff(), parse_polynomial("x^2 + 1"), 1,
+                                    SummationMethod("exact")),
+}
+
+
+@pytest.mark.parametrize("reader", list(FLOAT_READERS))
+def test_every_reader_refuses_a_float_term_alike(reader):
+    halves = SeriesSpec(lambda n: 0.5 ** n)
+    with pytest.raises(TypeError, match=r"^series term 1\.0 is not an exact rational$"):
+        FLOAT_READERS[reader](halves)
 
 
 # ---------------------------------------------------------------------------
