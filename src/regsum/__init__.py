@@ -23,8 +23,7 @@ _EXPORTS = {
     ),
     "power_series": (
         "DomainError", "NonUnitError", "OrderExceededError", "PowerSeries",
-        "cosh_series", "exp_series", "geometric_series", "log1p_series",
-        "working_order",
+        "cosh_series", "exp_series",
     ),
     "operators": (
         "OperatorSpec", "op_delta", "op_diff", "op_identity", "op_shift",

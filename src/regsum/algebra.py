@@ -83,10 +83,6 @@ class Polynomial(_Frozen):
         return tuple([Fraction(n, den) for n in self.nums])
 
     @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls(())
-
-    @classmethod
     def constant(cls, c: RationalLike) -> "Polynomial":
         return cls((as_rational(c),))
 
@@ -171,10 +167,7 @@ class Polynomial(_Frozen):
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Polynomial.constant(1)
-        for _ in range(n):
-            result = result * self
-        return result
+        return _power(self, Polynomial.constant(1), n)
 
     def derivative(self) -> "Polynomial":
         """d/dx, exact; drops the degree by one for nonconstant input."""
@@ -185,10 +178,7 @@ class Polynomial(_Frozen):
         h = as_rational(h)
         if h == 0:
             return self
-        weights = [Fraction(1)]  # h^n / n!
-        for n in range(1, len(self.nums)):
-            weights.append(weights[-1] * h / n)
-        return _derivative_sum(self, weights)
+        return _derivative_sum(self, _translation_weights(h, len(self.nums)))
 
     def __repr__(self) -> str:
         return f"Polynomial({[format_rational(c) for c in self.coeffs]})"
@@ -247,6 +237,24 @@ def _convolve(a: Sequence, b: Sequence, size: int) -> list:
                 if y:
                     out[i + j] += x * y
     return out
+
+
+def _power(base, one, n: int):
+    """base ** n (n >= 0) by n products from the unit ``one``: the power of
+    a polynomial and of a series."""
+    result = one
+    for _ in range(n):
+        result = result * base
+    return result
+
+
+def _translation_weights(h: Fraction, count: int) -> list[Fraction]:
+    """h^n / n! for n = 0..count-1 (at least the first): the symbol of
+    translation by h, read by ``Polynomial.translate`` and ``exp_series``."""
+    weights = [Fraction(1)]
+    for n in range(1, count):
+        weights.append(weights[-1] * h / n)
+    return weights
 
 
 def _derivative_sum(p: Polynomial, weights: Iterable[Fraction]) -> Polynomial:

@@ -7,6 +7,8 @@ loading the engines; those modules re-export the errors.
 """
 
 DEFAULT_TERMS = 4000
+# The fewest terms of a budget: the iterated means compare estimates at N/4, N/2 and N.
+MIN_TERMS = 16
 DEFAULT_TOL = 1e-3
 DEFAULT_ORDER_CAP = 8
 MAX_ORDER_CAP = 12

@@ -25,6 +25,7 @@ from .budgets import (
     DEFAULT_TERMS,
     DEFAULT_TOL,
     MAX_ORDER_CAP,
+    MIN_TERMS,
     InexactDataError,
     NotConvergedError,
     NotRegularError,
@@ -105,8 +106,8 @@ def _check_budget(args: argparse.Namespace) -> None:
     if args.n_max is None:
         source, env = ENV_TERMS, os.environ.get(ENV_TERMS)
         args.n_max = _literal(int, env, ENV_TERMS) if env else DEFAULT_TERMS
-    if not 16 <= args.n_max <= MAX_TERMS:
-        raise CliError(f"{source}: need 16..{MAX_TERMS} terms, got {args.n_max}")
+    if not MIN_TERMS <= args.n_max <= MAX_TERMS:
+        raise CliError(f"{source}: need {MIN_TERMS}..{MAX_TERMS} terms, got {args.n_max}")
     if args.tol is None:
         args.tol = DEFAULT_TOL
     if not 0 < args.tol < math.inf:
@@ -216,14 +217,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_sum(args: argparse.Namespace) -> int:
-    from .operators import op_shift, parse_operator
+    from .operators import DEFAULT_SYMBOL_ORDER, op_shift, parse_operator
     from .regularize import reg_sum
     from .summation import LogValue, _sig12, parse_series
 
     _check_budget(args)
     poly = _literal(partial(parse_polynomial, max_degree=MAX_DEGREE), args.polynomial, "--poly")
     x = _literal(Fraction, args.x, "--x")
-    order = max(16, len(poly.nums) + 3)
+    order = max(DEFAULT_SYMBOL_ORDER, len(poly.nums) + 3)
     if args.operator is not None:
         if args.h is not None:
             raise CliError("--h: not used with --op; give the step in --op (shift:h or delta:h)")

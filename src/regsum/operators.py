@@ -31,7 +31,7 @@ class OperatorSpec(_Frozen):
     @property
     def constant(self) -> Fraction:
         """The image of 1, i.e. the symbol's constant term."""
-        return self.symbol.constant_term()
+        return self.symbol.coeffs[0]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OperatorSpec):

@@ -14,16 +14,8 @@ import math
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .algebra import (RationalLike, _convolve, _Frozen, _prefix_pass, _terms_text, as_rational,
-                      format_rational)
-
-DEFAULT_PADDING = 4
-
-
-def working_order(*sizes: int) -> int:
-    """Default truncation order: the largest relevant size plus padding."""
-    base = max([s for s in sizes if s >= 0], default=0)
-    return base + DEFAULT_PADDING
+from .algebra import (RationalLike, _convolve, _Frozen, _power, _prefix_pass, _terms_text,
+                      _translation_weights, as_rational, format_rational)
 
 
 class NonUnitError(ZeroDivisionError):
@@ -60,10 +52,6 @@ class PowerSeries(_Frozen):
             raise ValueError("order must be at least 1 to represent t")
         return cls([0, 1] + [0] * (order - 1))
 
-    @classmethod
-    def from_function(cls, term: Callable[[int], RationalLike], order: int) -> "PowerSeries":
-        return cls([term(n) for n in range(order + 1)])
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
@@ -74,9 +62,6 @@ class PowerSeries(_Frozen):
         if n > self.order:
             raise OrderExceededError(f"coefficient t^{n} beyond truncation order {self.order}")
         return self.coeffs[n]
-
-    def constant_term(self) -> Fraction:
-        return self.coeffs[0]
 
     def truncate(self, order: int) -> "PowerSeries":
         if order > self.order:
@@ -118,13 +103,7 @@ class PowerSeries(_Frozen):
     def __pow__(self, n: int) -> "PowerSeries":
         if n < 0:
             raise ValueError("negative series power; use inverse() first")
-        result = PowerSeries.constant(1, self.order)
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def scale(self, c: RationalLike) -> "PowerSeries":
-        return self * as_rational(c)
+        return _power(self, PowerSeries.constant(1, self.order), n)
 
     def inverse(self) -> "PowerSeries":
         """Multiplicative inverse up to the truncation order."""
@@ -180,10 +159,6 @@ class PowerSeries(_Frozen):
         """Machine form: ``p/q`` strings by ascending power."""
         return [format_rational(c) for c in self.coeffs]
 
-    @classmethod
-    def from_strings(cls, items: Sequence[str]) -> "PowerSeries":
-        return cls([Fraction(s) for s in items])
-
     def __repr__(self) -> str:
         return f"PowerSeries({self.to_strings()})"
 
@@ -202,32 +177,15 @@ def _triangular(out0: Fraction, weights: Sequence, scale: Callable[[int], Fracti
     return PowerSeries(out)
 
 
-def geometric_series(ratio: RationalLike, order: int) -> PowerSeries:
-    """Sum of (ratio*t)^n up to the order: 1/(1 - ratio*t)."""
-    r = as_rational(ratio)
-    out = [Fraction(1)]
-    for _ in range(order):
-        out.append(out[-1] * r)
-    return PowerSeries(out)
-
-
 def exp_series(scale: RationalLike, order: int) -> PowerSeries:
     """The series with coefficients scale^n / n! (the exponential of scale*t)."""
-    s = as_rational(scale)
-    out = [Fraction(1)]
-    for n in range(1, order + 1):
-        out.append(out[-1] * s / n)
-    return PowerSeries(out)
-
-
-def log1p_series(order: int) -> PowerSeries:
-    """Alternating harmonic-coefficient series: the logarithm of 1+t."""
-    return PowerSeries([Fraction(0)] + [Fraction((-1) ** (n + 1), n) for n in range(1, order + 1)])
+    return PowerSeries(_translation_weights(as_rational(scale), order + 1))
 
 
 def cosh_series(order: int) -> PowerSeries:
     """Even series with coefficients 1/(2m)! at t^(2m): the even part of
-    the exponential, refused (no t^0 term) for a negative order."""
+    the exponential, refused (no t^0 term) for a negative order; its
+    inverse checks ``euler_numbers`` in the tests."""
     coeffs = exp_series(1, order).coeffs[: order + 1]
     return PowerSeries([0 if n % 2 else c for n, c in enumerate(coeffs)])
 

@@ -27,6 +27,7 @@ from .budgets import (
     DEFAULT_TERMS,
     DEFAULT_TOL,
     MAX_ORDER_CAP,
+    MIN_TERMS,
     NotConvergedError,
 )
 
@@ -338,7 +339,7 @@ def partial_sums(a: SeriesSpec) -> SeriesSpec:
 
     def total(n: int) -> Fraction:
         # _memoized fills in order, so sums(n - 1) is already kept
-        return (sums(n - 1) if n else Fraction(0)) + a.term(n)
+        return (sums(n - 1) if n else Fraction(0)) + _exact_term(a.term(n))
 
     sums = _memoized(total, math.inf)
     return SeriesSpec(sums, f"sums({a.label})")
@@ -461,8 +462,8 @@ def _iterated_means(sums: list[int], den: int, method: SummationMethod) -> Conve
     Returns the first converged report, or else the one with the smallest
     residual."""
     orders, cap = _mean_orders(method)
-    if method.n_max < 16:
-        raise ValueError("need at least 16 terms for the checkpoint scheme")
+    if method.n_max < MIN_TERMS:
+        raise ValueError(f"need at least {MIN_TERMS} terms for the checkpoint scheme")
     for _ in range(orders.start):
         _prefix_pass(sums)
     best: ConvergenceReport | None = None

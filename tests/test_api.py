@@ -11,8 +11,7 @@ PUBLIC_NAMES = {
     "format_rational", "parse_polynomial",
     # power_series
     "DomainError", "NonUnitError", "OrderExceededError", "PowerSeries",
-    "cosh_series", "exp_series", "geometric_series", "log1p_series",
-    "working_order",
+    "cosh_series", "exp_series",
     # operators
     "OperatorSpec", "op_delta", "op_diff", "op_identity", "op_shift",
     "parse_operator",

@@ -611,6 +611,7 @@ FLOAT_READERS = {
     "evaluate-abel": lambda a: evaluate(a, SummationMethod("abel")),
     "evaluate-cesaro": lambda a: evaluate(a, SummationMethod("cesaro")),
     "cauchy_product": lambda a: cauchy_product(ALT, a).term(3),
+    "partial_sums": lambda a: partial_sums(a).term(2),
     # at c = 0 the derivative values are k! a_k, read with no engine
     "reg_sum-c0": lambda a: reg_sum(a, op_diff(), parse_polynomial("x^2 + 1"), 1,
                                     SummationMethod("exact")),
