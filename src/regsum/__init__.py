@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 # on every access, so a function swapped in that module is seen at once.
 _EXPORTS = {
     "algebra": (
-        "NEG_INFINITY", "ParseError", "Polynomial", "Rational", "as_rational",
+        "NEG_INFINITY", "ParseError", "Polynomial", "as_rational",
         "binomial_poly", "falling_factorial_poly", "format_polynomial",
         "format_rational", "parse_polynomial",
     ),
@@ -37,7 +37,7 @@ _EXPORTS = {
         "shift_check",
     ),
     "regularize": (
-        "EulerTable", "InexactDataError", "NotRegularError",
+        "InexactDataError", "NotRegularError",
         "RegularizedDerivatives", "alt_binom_sum", "alt_power_sum",
         "euler_alt_sum", "euler_numbers", "product_rule_check",
         "reg_derivatives", "reg_operator", "reg_sum",

@@ -1,8 +1,7 @@
 """Exact rational scalars and dense univariate polynomials.
 
 Scalars are ``fractions.Fraction`` throughout: always in lowest terms with a
-positive denominator, and every arithmetic operation is exact.  ``Rational``
-is a public alias of ``Fraction``, kept for callers.
+positive denominator, and every arithmetic operation is exact.
 """
 
 from __future__ import annotations
@@ -11,8 +10,6 @@ import math
 import re
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
-
-Rational = Fraction
 
 RationalLike = Union[Fraction, int, str]
 
@@ -81,20 +78,6 @@ class Polynomial(_Frozen):
         """The coefficients as lowest-terms Fractions, built on each read."""
         den = self.den
         return tuple([Fraction(n, den) for n in self.nums])
-
-    @classmethod
-    def constant(cls, c: RationalLike) -> "Polynomial":
-        return cls((as_rational(c),))
-
-    @classmethod
-    def x(cls) -> "Polynomial":
-        return cls((0, 1))
-
-    @classmethod
-    def monomial(cls, power: int, coeff: RationalLike = 1) -> "Polynomial":
-        if power < 0:
-            raise ValueError("monomial power must be nonnegative")
-        return cls([0] * power + [as_rational(coeff)])
 
     @property
     def degree(self) -> float:
@@ -167,7 +150,7 @@ class Polynomial(_Frozen):
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise ValueError("negative polynomial power")
-        return _power(self, Polynomial.constant(1), n)
+        return _power(self, Polynomial([1]), n)
 
     def derivative(self) -> "Polynomial":
         """d/dx, exact; drops the degree by one for nonconstant input."""
@@ -276,7 +259,7 @@ def falling_factorial_poly(k: int) -> Polynomial:
     """The degree-k polynomial x(x-1)...(x-k+1); the empty product 1 for k=0."""
     if k < 0:
         raise ValueError("falling factorial order must be nonnegative")
-    result = Polynomial.constant(1)
+    result = Polynomial([1])
     for i in range(k):
         result = result * Polynomial((-i, 1))
     return result

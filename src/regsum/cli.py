@@ -282,8 +282,8 @@ def cmd_euler(args: argparse.Namespace) -> int:
     if args.n_max > MAX_EULER:
         raise CliError(f"n_max: {args.n_max} is above the cap {MAX_EULER}")
     table = euler_numbers(args.n_max)
-    return _emit(args, [f"E_{k}: {v}" for k, v in enumerate(table.values)],
-                 {"values": table.to_json_list()})
+    return _emit(args, [f"E_{k}: {v}" for k, v in enumerate(table)],
+                 {"values": [str(v) for v in table]})
 
 
 def cmd_engine(args: argparse.Namespace) -> int:

@@ -190,37 +190,7 @@ def cosh_series(order: int) -> PowerSeries:
     return PowerSeries([0 if n % 2 else c for n, c in enumerate(coeffs)])
 
 
-class EulerTable(_Frozen):
-    """Zigzag integers E_0..E_n from the reciprocal cosh expansion; an
-    immutable value compared, hashed and shown by its values."""
-
-    __slots__ = ("values",)
-
-    def __init__(self, values: tuple[int, ...]):
-        object.__setattr__(self, "values", values)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.values == other.values
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.values,))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(values={self.values!r})"
-
-    def __getitem__(self, k: int) -> int:
-        return self.values[k]
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def to_json_list(self) -> list[str]:
-        return [str(v) for v in self.values]
-
-
-def euler_numbers(n_max: int) -> EulerTable:
+def euler_numbers(n_max: int) -> tuple[int, ...]:
     """E_k = k! times the t^k coefficient of 1/cosh t, exact integers, from
     cosh t * sech t = 1: E_0 = 1, E_n = 0 for odd n, and otherwise
     E_n = -sum_{even j = 2..n} C(n, j) E_(n-j)."""
@@ -230,4 +200,4 @@ def euler_numbers(n_max: int) -> EulerTable:
     for n in range(1, n_max + 1):
         values.append(0 if n % 2 else
                       -sum(math.comb(n, j) * values[n - j] for j in range(2, n + 1, 2)))
-    return EulerTable(tuple(values))
+    return tuple(values)

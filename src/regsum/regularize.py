@@ -23,8 +23,8 @@ from .algebra import Polynomial, RationalLike, as_rational
 # The failures that exit 2 are re-exported from their home in budgets.
 from .budgets import InexactDataError, NotRegularError
 from .operators import OperatorSpec
-# EulerTable and euler_numbers are re-exported from their home in power_series.
-from .power_series import EulerTable, PowerSeries, euler_numbers
+# euler_numbers is re-exported from its home in power_series.
+from .power_series import PowerSeries, euler_numbers
 from .summation import (
     ConvergenceReport,
     LogValue,
@@ -215,68 +215,62 @@ def reg_sum(
     x: RationalLike,
     method: SummationMethod,
 ) -> tuple[Union[Fraction, LogValue, float], ConvergenceReport]:
-    """Value of the regularized series sum a_n (T^n P)(x).
+    """Value of the regularized series sum a_n (T^n P)(x), and its report.
 
     Collapses to sum_{k<=deg P} v_k/k! (R^k P)(x) with (c, R) = T split at
     its constant.  Exact v_k add their terms to one Fraction, and a
     logarithmic v_0 = b*log(q) (``altlog``'s) adds b*P(x) as the log
     coefficient of a ``LogValue``; each numeric v_k adds v_k times the
-    correctly rounded float of (R^k P)(x)/k!.  With no numeric leg the
-    value is that Fraction, or a LogValue when a log leg was used, even
-    with coefficient 0 (the report's float is infinite when the value is
-    beyond the float range, and its ``exact`` is None for a LogValue);
-    otherwise it is that value's float plus the numeric terms, and a total
-    that is not finite is reported as not converged.  The report
-    aggregates the numeric legs: order_used is the deepest summation order
-    (or the reduction degree on the all-exact route), terms_used the total
-    terms consumed, residual the worst gap.
+    correctly rounded float of (R^k P)(x)/k!.  The value and report are:
+
+    - P = 0: Fraction(0) under every method, with no v_k computed, so even
+      a series no method sums gives it; order_used and terms_used are 0.
+    - no numeric leg: that Fraction, or a LogValue when a log leg was used,
+      even with coefficient 0.  The report's value is its own float
+      (infinite beyond the float range, and -0.0 when a negative value
+      underflows), its ``exact`` the Fraction (None for a LogValue),
+      order_used deg P and terms_used deg P + 1; it is always converged.
+    - numeric legs: the float of that value plus the numeric terms, not
+      converged when a leg is not or the total is not finite; order_used
+      is the deepest summation order, terms_used the terms all legs
+      consumed, residual the worst gap, and provenance the routes used.
     """
     x = as_rational(x)
-    if P.is_zero:
-        report = ConvergenceReport(
-            value=0.0, exact=Fraction(0), method_used=method, order_used=0,
-            terms_used=0, converged=True, residual=0.0, provenance=PROV_EXACT,
-        )
-        return Fraction(0), report
-    cap = len(P.nums) - 1
-    derivs = reg_derivatives(f, T.constant, method, cap)
     exact, numeric, log = Fraction(0), 0.0, None
-    rows = zip(derivs.values, derivs.reports, _reduced_values(T, P, x))
-    for k, (v, leg, applied) in enumerate(rows):
-        if leg is not None:
-            num, den = applied.as_integer_ratio()
-            numeric += v * _ratio(num, den * math.factorial(k))
-        elif isinstance(v, LogValue):
-            # v_0 (k = 0, so (R^0 P)(x) = P(x)); b*log(q) stays apart from A
-            exact += v.a * applied
-            log = v.b * applied, v.q
-        else:
-            exact += v * applied / math.factorial(k)
+    provenance, legs = [PROV_EXACT], []
+    if not P.is_zero:
+        derivs = reg_derivatives(f, T.constant, method, len(P.nums) - 1)
+        provenance = derivs.provenance
+        legs = [r for r in derivs.reports if r is not None]
+        rows = zip(derivs.values, derivs.reports, _reduced_values(T, P, x))
+        for k, (v, leg, applied) in enumerate(rows):
+            if leg is not None:
+                num, den = applied.as_integer_ratio()
+                numeric += v * _ratio(num, den * math.factorial(k))
+            elif isinstance(v, LogValue):
+                # v_0 (k = 0, so (R^0 P)(x) = P(x)); b*log(q) stays apart from A
+                exact += v.a * applied
+                log = v.b * applied, v.q
+            else:
+                exact += v * applied / math.factorial(k)
     if log is None:
-        closed, closed_float = exact, _ratio(*exact.as_integer_ratio())
+        closed, value = exact, _ratio(*exact.as_integer_ratio())
     else:
         closed = LogValue(exact, *log)
-        closed_float = float(closed)
-    legs = [r for r in derivs.reports if r is not None]
-    if not legs:
-        report = ConvergenceReport(
-            value=closed_float, exact=exact if log is None else None, method_used=method,
-            order_used=cap, terms_used=cap + 1, converged=True, residual=0.0,
-            provenance=PROV_EXACT,
-        )
-        return closed, report
-    total = closed_float + numeric
+        value = float(closed)
+    if legs:  # with none, the value is the exact float, so a zero keeps its sign
+        closed = value = value + numeric
     report = ConvergenceReport(
-        value=total,
-        exact=None,
+        value=value,
+        exact=exact if log is None and not legs else None,
         method_used=method,
-        order_used=max(r.order_used for r in legs),
-        terms_used=sum(r.terms_used for r in legs),
-        converged=all(r.converged for r in legs) and math.isfinite(total),
-        residual=max(r.residual for r in legs),
-        provenance="+".join(sorted(set(derivs.provenance))),
+        order_used=max((r.order_used for r in legs), default=max(len(P.nums) - 1, 0)),
+        terms_used=sum(r.terms_used for r in legs) if legs else len(P.nums),
+        converged=all(r.converged for r in legs) and (math.isfinite(value) or not legs),
+        residual=max((r.residual for r in legs), default=0.0),
+        provenance="+".join(sorted(set(provenance))),
     )
-    return total, report
+    return closed, report
 
 
 def euler_alt_sum(P: Polynomial, h: RationalLike, x: RationalLike) -> Fraction:

@@ -6,7 +6,7 @@ from regsum import algebra, cli, operators, power_series, regularize, summation
 
 PUBLIC_NAMES = {
     # algebra
-    "NEG_INFINITY", "ParseError", "Polynomial", "Rational", "as_rational",
+    "NEG_INFINITY", "ParseError", "Polynomial", "as_rational",
     "binomial_poly", "falling_factorial_poly", "format_polynomial",
     "format_rational", "parse_polynomial",
     # power_series
@@ -22,7 +22,7 @@ PUBLIC_NAMES = {
     "series_alt_log", "series_custom", "series_geometric", "series_table",
     "shift_check",
     # regularize
-    "EulerTable", "InexactDataError", "NotRegularError",
+    "InexactDataError", "NotRegularError",
     "RegularizedDerivatives", "alt_binom_sum", "alt_power_sum",
     "euler_alt_sum", "euler_numbers", "product_rule_check",
     "reg_derivatives", "reg_operator", "reg_sum",

@@ -63,6 +63,14 @@ COMMANDS = [
     "sum --series alt --op symbol:[1,1/2,1/3] --poly x^3 --x 1",
     "sum --series alt --h 1/2 --poly x^2",
     "sum --series geom:1/3 --op delta:97/89 --poly 'x^20 - 3*x^2 + 1/2' --x 1/3",
+    # an all-exact sum whose float underflows keeps its sign: -0, not 0
+    f"sum --series alt --poly=-1/1{'0' * 400}",
+    f"sum --series alt --poly=-1/1{'0' * 400} -o json",
+    # the zigzag table at its edges and past 2^64
+    "euler 0",
+    "euler 1",
+    "euler 41",
+    "euler 41 -o json",
 ]
 
 

@@ -322,7 +322,7 @@ def test_report_json_dict():
 def test_report_json_prints_an_exact_value_of_any_size():
     # x^60 at 10^90: an integer of about 5,400 digits, past str()'s default
     # limit of 4,300
-    value, rep = reg_sum(series_alt(), op_shift(1, 64), Polynomial.monomial(60),
+    value, rep = reg_sum(series_alt(), op_shift(1, 64), Polynomial([0] * 60 + [1]),
                          Fraction(10 ** 90), SummationMethod("exact"))
     text = strict_loads(rep.to_json())["exact"]
     assert len(text) > 4300
