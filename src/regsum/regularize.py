@@ -10,6 +10,13 @@ where v_k is the regularized k-th derivative value sum_n a_n [n]_k c^(n-k).
 The v_k come from exact closed forms where a series carries one, and
 from the numeric engines in `summation` otherwise, so the two routes check
 each other.
+
+The values (R^k P)(x) come one of two ways, chosen from T's symbol alone.
+When it is a scaled shift c e^(ht) through t^deg P (``shift:h``,
+``identity``, a scaled shift), R = c Delta_h, so (R^k P)(x) = c^k times
+the k-th forward difference of P(x), P(x + h), ..., P(x + (deg P) h).
+Every other operator reads the symbols of R^0..R^deg P, and
+``reg_operator`` builds its symbol from those of R^0..R^degree_cap.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
-from .algebra import Polynomial, RationalLike, as_rational
+from .algebra import Polynomial, RationalLike, _translation_weights, as_rational
 # The failures that exit 2 are re-exported from their home in budgets.
 from .budgets import InexactDataError, NotRegularError
 from .operators import OperatorSpec
@@ -164,10 +171,36 @@ def _reduction_symbols(T: OperatorSpec, d: int) -> list[PowerSeries]:
     return powers
 
 
+def _shift_of(T: OperatorSpec, d: int) -> Optional[tuple[Fraction, Fraction]]:
+    """(c, h) when T's symbol equals c e^(ht) with c != 0 through t^d, else
+    None: s_0 = c, h = s_1 / c, and s_n = c h^n / n! for every n <= d."""
+    coeffs = T.symbol.coeffs[: d + 1]
+    c = coeffs[0]
+    if c == 0:
+        return None
+    h = coeffs[1] / c if d else Fraction(0)
+    if all(s == c * w for s, w in zip(coeffs, _translation_weights(h, d + 1))):
+        return c, h
+    return None
+
+
 def _reduced_values(T: OperatorSpec, P: Polynomial, x: Fraction) -> list[Fraction]:
-    """(R^k P)(x) for k = 0..deg P, as sum_n [t^n]R^k * P^(n)(x); the
-    P^(n)(x) = n! [y^n] P(x + y) come from one Taylor shift."""
+    """(R^k P)(x) for k = 0..deg P.  For a scaled shift c e^(ht) these are
+    c^k times the k-th forward differences at 0 of the d + 1 values
+    P(x + n h); for any other T they are sum_n [t^n]R^k * P^(n)(x), with
+    the P^(n)(x) = n! [y^n] P(x + y) from one Taylor shift."""
     d = len(P.nums) - 1
+    T._check_reach(d)
+    shift = _shift_of(T, d)
+    if shift is not None:
+        c, h = shift
+        table = [P(x + n * h) for n in range(d + 1)]
+        values, scale = [], Fraction(1)
+        for k in range(d + 1):
+            values.append(scale * table[0])
+            table = [b - a for a, b in zip(table, table[1:])]
+            scale *= c
+        return values
     powers = _reduction_symbols(T, d)
     shifted = P.translate(x)
     at_x = [shifted.coeff(n) * math.factorial(n) for n in range(d + 1)]

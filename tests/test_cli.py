@@ -19,10 +19,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from regsum import checks, cli, regularize, summation
-from regsum.algebra import parse_polynomial
+from regsum.algebra import Polynomial, parse_polynomial
 from regsum.cli import MAX_DEGREE, MAX_EULER, MAX_ORDER, MAX_STEP_WORK, MAX_TERMS, main
 from regsum.operators import OperatorSpec, op_shift
-from regsum.regularize import reg_sum
+from regsum.regularize import euler_alt_sum, reg_sum
 from regsum.summation import MAX_ORDER_CAP, SummationMethod, parse_series, series_alt
 
 
@@ -606,13 +606,21 @@ def test_sum_altlog_beyond_float_range_is_exact(capsys):
     assert payload["value_closed"] == "5" + "0" * 399 + " + 1*log(2)"
 
 
-def test_sum_degree_171_on_the_default_shift(capsys):
-    code, out, err = run(capsys, "sum", "--series", "altlog", "--poly", "x^171",
-                         "-o", "json")
+@pytest.mark.parametrize("argv", [
+    ("--series", "altlog", "--poly", "x^171"),
+    # altlog's case checks only the exit code and the report; this one checks
+    # the value against the zigzag closed form
+    ("--series", "alt", "--poly", "x^171", "--x", "1/3"),
+], ids=["altlog", "alt"])
+def test_sum_degree_171_on_the_default_shift(capsys, argv):
+    code, out, err = run(capsys, "sum", *argv, "-o", "json")
     assert code in (0, 2)
     assert "Traceback" not in err
     payload = strict_json(out)
     assert payload["converged"] is (code == 0)
+    if argv[1] == "alt":
+        expected = euler_alt_sum(Polynomial([0] * 171 + [1]), 1, Fraction(1, 3))
+        assert Fraction(payload["value_exact"]) == expected
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "0"])

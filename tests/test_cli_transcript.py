@@ -63,6 +63,12 @@ COMMANDS = [
     "sum --series alt --op symbol:[1,1/2,1/3] --poly x^3 --x 1",
     "sum --series alt --h 1/2 --poly x^2",
     "sum --series geom:1/3 --op delta:97/89 --poly 'x^20 - 3*x^2 + 1/2' --x 1/3",
+    # sums on a shift read from a difference table, and symbols that are not shifts
+    "sum --series alt --h=-3/2 --poly 'x^60 - 3*x^2 + 1/2' --x 1/3",
+    "sum --series altlog --poly x^40 --x 1/2 -o json",
+    "sum --series geom:1/3 --op symbol:[2,2,1] --poly 'x^2 + x' --x 1",
+    "sum --series geom:1/3 --op symbol:[2,2,2] --poly 'x^2 + x' --x 1",
+    "sum --series alt --op identity --poly 'x^3 - x' --x 2",
     # an all-exact sum whose float underflows keeps its sign: -0, not 0
     f"sum --series alt --poly=-1/1{'0' * 400}",
     f"sum --series alt --poly=-1/1{'0' * 400} -o json",

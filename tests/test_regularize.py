@@ -18,7 +18,7 @@ from regsum.operators import (
     op_shift,
     parse_operator,
 )
-from regsum.power_series import OrderExceededError, PowerSeries
+from regsum.power_series import OrderExceededError, PowerSeries, exp_series
 from regsum.regularize import (
     InexactDataError,
     NotRegularError,
@@ -31,7 +31,7 @@ from regsum.regularize import (
     reg_operator,
     reg_sum,
 )
-from regsum.regularize import _derivative_blocks, _reduced_values
+from regsum.regularize import _derivative_blocks, _reduced_values, _reduction_symbols, _shift_of
 from regsum.summation import (
     ConvergenceReport,
     LogValue,
@@ -472,6 +472,56 @@ def test_operator_form_agrees_with_the_pointwise_sum(case, x):
     T, d, P = case
     value, _ = reg_sum(ALT, T, P, x, EXACT)
     assert reg_operator(ALT, T, EXACT, d).apply(P)(x) == value
+
+
+def symbol_power_values(T, P, x):
+    """(R^k P)(x) for k = 0..deg P as sum_n [t^n]R^k * P^(n)(x), with the
+    symbol powers from _reduction_symbols and P^(n) by repeated derivatives."""
+    d = len(P.nums) - 1
+    at_x, current = [], P
+    for _ in range(d + 1):
+        at_x.append(current(x))
+        current = current.derivative()
+    return [sum((s * v for s, v in zip(power.coeffs, at_x)), Fraction(0))
+            for power in _reduction_symbols(T, d)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(small_rationals, min_size=1, max_size=41).filter(lambda cs: cs[-1] != 0),
+       small_rationals, st.one_of(st.just(Fraction(0)), small_rationals),
+       st.sampled_from([Fraction(1), Fraction(-2), Fraction(3, 2)]), st.integers(0, 3))
+def test_shift_table_matches_the_symbol_powers(coeffs, x, h, c, extra):
+    # A scaled shift c e^(ht), h = 0 (c times the identity) included, is
+    # read from the forward differences of P(x + n h); the values are the
+    # same Fractions as the symbol-power sum.
+    P = Polynomial(coeffs)
+    d = len(P.nums) - 1
+    T = OperatorSpec(exp_series(h, d + extra) * c)
+    assert _shift_of(T, d) == (c, h if d else 0)
+    assert _reduced_values(T, P, x) == symbol_power_values(T, P, x)
+
+
+@pytest.mark.parametrize("d", [2, 5, 12])
+def test_symbol_that_is_a_shift_below_its_degree_takes_the_symbol_powers(d):
+    # c e^(ht) through t^(d-1) only: the t^d coefficient is off by one.  (At
+    # d = 1 every symbol with c != 0 is a shift, with h = s_1 / c.)
+    c, h = Fraction(3, 2), Fraction(-2, 3)
+    coeffs = list((exp_series(h, d) * c).coeffs)
+    coeffs[d] += 1
+    T = OperatorSpec(PowerSeries(coeffs))
+    P = Polynomial([Fraction(k + 1, 3) * (-1) ** k for k in range(d + 1)])
+    x = Fraction(5, 7)
+    assert _shift_of(T, d) is None and _shift_of(T, d - 1) == (c, h)
+    assert _reduced_values(T, P, x) == symbol_power_values(T, P, x)
+    assert _reduced_values(T, P, x) != _reduced_values(OperatorSpec(exp_series(h, d) * c), P, x)
+
+
+def test_truncated_shift_is_refused_before_the_table():
+    P = Polynomial([0] * 5 + [1])
+    with pytest.raises(OrderExceededError) as refused:
+        _reduced_values(op_shift(1, order=4), P, Fraction(1, 3))
+    assert str(refused.value) == ("symbol truncated at order 4 cannot act on degree 5; "
+                                  "rebuild the operator with a deeper symbol")
 
 
 def test_log_series_derivative_in_difference_identity():
