@@ -197,14 +197,6 @@ def _scale_to_ints(values: list) -> int:
     return den
 
 
-def _prefix_pass(values: list) -> None:
-    # In place: a second list of (possibly long) ints would double the peak.
-    acc = 0
-    for i, v in enumerate(values):
-        acc += v
-        values[i] = acc
-
-
 def _poly(nums: list[int], den: int) -> Polynomial:
     """The polynomial sum_i nums[i]/den x^i (den > 0), reduced once."""
     return Polynomial.__new__(Polynomial)._store(nums, den)

@@ -73,9 +73,8 @@ class OperatorSpec(_Frozen):
 
     def remainder(self) -> tuple[Fraction, "OperatorSpec"]:
         """Split off the constant: returns (c, T - c) with a zero-constant rest."""
-        c = self.constant
-        rest = PowerSeries([self.symbol.coeffs[0] - c, *self.symbol.coeffs[1:]])
-        return c, OperatorSpec(rest)
+        rest = PowerSeries([0, *self.symbol.coeffs[1:]])
+        return self.constant, OperatorSpec(rest)
 
     def __repr__(self) -> str:
         name = self.label or "operator"

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
-from .algebra import (RationalLike, _convolve, _Frozen, _power, _prefix_pass, _terms_text,
-                      _translation_weights, as_rational, format_rational)
+from .algebra import (RationalLike, _convolve, _Frozen, _power, _terms_text, _translation_weights,
+                      as_rational, format_rational)
 
 
 class NonUnitError(ZeroDivisionError):
@@ -110,33 +110,14 @@ class PowerSeries(_Frozen):
         f0 = self.coeffs[0]
         if f0 == 0:
             raise NonUnitError("series with zero constant term has no inverse")
+        # out_n = -(1/f_0) sum_{j=1..n} f_j out_(n-j), an O(n^2) triangular loop
         inv0 = 1 / f0
-        return _triangular(inv0, self.coeffs, lambda n: -inv0)
-
-    def derivative(self) -> "PowerSeries":
-        """Term-wise d/dt; the truncation order drops by one."""
-        if self.order == 0:
-            return PowerSeries([0])
-        return PowerSeries([i * self.coeffs[i] for i in range(1, self.order + 1)])
-
-    def integral(self) -> "PowerSeries":
-        """Term-wise antiderivative with zero constant; order grows by one."""
-        return PowerSeries([Fraction(0)] + [c / (i + 1) for i, c in enumerate(self.coeffs)])
-
-    def exp(self) -> "PowerSeries":
-        """Formal exponential; requires a zero constant term to stay rational."""
-        if self.coeffs[0] != 0:
-            raise DomainError("exp needs constant term 0; e^c is not rational otherwise")
-        # E' = f' E  =>  k e_k = sum_{j=1..k} j f_j e_{k-j}
-        weights = [j * c for j, c in enumerate(self.coeffs)]
-        return _triangular(Fraction(1), weights, lambda k: Fraction(1, k))
-
-    def log(self) -> "PowerSeries":
-        """Formal logarithm; requires constant term 1."""
-        if self.coeffs[0] != 1:
-            raise DomainError("log needs constant term 1; log c is not rational otherwise")
-        # L' = f'/f with L(0) = 0
-        return (self.derivative() * self.inverse()).integral().truncate(self.order)
+        out = [inv0]
+        for n in range(1, len(self.coeffs)):
+            acc = sum((f * o for f, o in zip(self.coeffs[1 : n + 1], reversed(out)) if f),
+                      Fraction(0))
+            out.append(-inv0 * acc)
+        return PowerSeries(out)
 
     def compose(self, inner: "PowerSeries") -> "PowerSeries":
         """Substitute ``inner`` (which must vanish at 0) for t."""
@@ -149,12 +130,6 @@ class PowerSeries(_Frozen):
             acc = acc * g + PowerSeries.constant(self.coeffs[k], n)
         return acc
 
-    def partial_sums(self) -> "PowerSeries":
-        """Multiply by 1/(1-t): coefficient n becomes the n-th prefix sum."""
-        out = list(self.coeffs)
-        _prefix_pass(out)
-        return PowerSeries(out)
-
     def to_strings(self) -> list[str]:
         """Machine form: ``p/q`` strings by ascending power."""
         return [format_rational(c) for c in self.coeffs]
@@ -164,17 +139,6 @@ class PowerSeries(_Frozen):
 
     def __str__(self) -> str:
         return f"{_terms_text(enumerate(self.coeffs), 't')} + O(t^{self.order + 1})"
-
-
-def _triangular(out0: Fraction, weights: Sequence, scale: Callable[[int], Fraction]) -> PowerSeries:
-    """The series with out_0 = out0 and out_n = scale(n) * sum_{j=1..n}
-    weights[j] * out_(n-j), through the order of ``weights``: the O(n^2)
-    recurrence of a series inverse and of a series exponential."""
-    out = [out0]
-    for n in range(1, len(weights)):
-        acc = sum((w * o for w, o in zip(weights[1 : n + 1], reversed(out)) if w), Fraction(0))
-        out.append(scale(n) * acc)
-    return PowerSeries(out)
 
 
 def exp_series(scale: RationalLike, order: int) -> PowerSeries:

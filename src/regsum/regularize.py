@@ -63,10 +63,6 @@ class RegularizedDerivatives:
     reports: list[Optional[ConvergenceReport]]
 
     @property
-    def k_max(self) -> int:
-        return len(self.values) - 1
-
-    @property
     def is_exact(self) -> bool:
         return all(isinstance(v, Fraction) for v in self.values)
 

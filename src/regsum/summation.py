@@ -20,8 +20,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .algebra import (ParseError, RationalLike, _prefix_pass, _scale_to_ints, as_rational,
-                      format_rational)
+from .algebra import ParseError, RationalLike, _scale_to_ints, as_rational, format_rational
 from .budgets import (
     DEFAULT_ORDER_CAP,
     DEFAULT_TERMS,
@@ -454,6 +453,14 @@ def _mean_orders(method: SummationMethod) -> tuple[range, int]:
     if method.order == "auto":
         return range(method.k_max + 1), method.k_max
     return range(method.order, method.order + 1), DEFAULT_ORDER_CAP
+
+
+def _prefix_pass(values: list) -> None:
+    # In place: a second list of (possibly long) ints would double the peak.
+    acc = 0
+    for i, v in enumerate(values):
+        acc += v
+        values[i] = acc
 
 
 def _iterated_means(sums: list[int], den: int, method: SummationMethod) -> ConvergenceReport:

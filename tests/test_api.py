@@ -1,5 +1,6 @@
-"""The public surface: the names ``regsum`` exports and the library
-attributes the benchmark's tracer (``bench/tracer.py``) wraps."""
+"""The public surface: the names ``regsum`` exports, the public attributes
+of its exact value types, and the library attributes the benchmark's
+tracer (``bench/tracer.py``) wraps."""
 
 import regsum
 from regsum import algebra, cli, operators, power_series, regularize, summation
@@ -28,6 +29,17 @@ PUBLIC_NAMES = {
     "reg_derivatives", "reg_operator", "reg_sum",
 }
 
+# The public attributes (no leading underscore) of the exact value types;
+# adding or removing one is a change to the surface, made on purpose.
+PUBLIC_ATTRIBUTES = {
+    algebra.Polynomial: {"coeff", "coeffs", "degree", "den", "derivative", "is_zero", "nums",
+                         "translate"},
+    power_series.PowerSeries: {"coeff", "coeffs", "compose", "constant", "inverse", "order",
+                               "t", "to_strings", "truncate"},
+    operators.OperatorSpec: {"apply", "compose", "constant", "label", "remainder", "scale",
+                             "symbol"},
+}
+
 # (owner, attributes) that bench/tracer.py replaces with timing wrappers
 # or reads in its observers; a missing one breaks a traced run.
 TRACED = [
@@ -49,6 +61,11 @@ def test_public_names_are_pinned_and_resolve():
     assert len(regsum.__all__) == len(set(regsum.__all__))
     assert set(regsum.__all__) == PUBLIC_NAMES
     assert [name for name in regsum.__all__ if not hasattr(regsum, name)] == []
+
+
+def test_value_type_attributes_are_pinned():
+    for owner, names in PUBLIC_ATTRIBUTES.items():
+        assert {name for name in dir(owner) if not name.startswith("_")} == names, owner.__name__
 
 
 def test_traced_attributes_resolve():
