@@ -15,8 +15,9 @@ The values (R^k P)(x) come one of two ways, chosen from T's symbol alone.
 When it is a scaled shift c e^(ht) through t^deg P (``shift:h``,
 ``identity``, a scaled shift), R = c Delta_h, so (R^k P)(x) = c^k times
 the k-th forward difference of P(x), P(x + h), ..., P(x + (deg P) h).
-Every other operator reads the symbols of R^0..R^deg P, and
-``reg_operator`` builds its symbol from those of R^0..R^degree_cap.
+Every other operator reads the symbols of R^0..R^deg P.  ``reg_operator``
+builds sum_k w_k R^k, w_k = v_k/k!, through t^cap: geometric w_0 rho^k (``alt``,
+``geom:r``) by one inverse w_0 (1 - rho R)^(-1), O(cap^2), others by R^0..R^cap, O(cap^3).
 """
 
 from __future__ import annotations
@@ -180,6 +181,13 @@ def _shift_of(T: OperatorSpec, d: int) -> Optional[tuple[Fraction, Fraction]]:
     return None
 
 
+def _geometric_ratio(weights: list[Fraction]) -> Optional[Fraction]:
+    """rho when w_(k+1) = rho w_k for every k, else None; rho = w_1 / w_0, or
+    0 when w_0 = 0 or there is one weight."""
+    rho = weights[1] / weights[0] if len(weights) > 1 and weights[0] else Fraction(0)
+    return rho if all(b == rho * a for a, b in zip(weights, weights[1:])) else None
+
+
 def _reduced_values(T: OperatorSpec, P: Polynomial, x: Fraction) -> list[Fraction]:
     """(R^k P)(x) for k = 0..deg P.  For a scaled shift c e^(ht) these are
     c^k times the k-th forward differences at 0 of the d + 1 values
@@ -212,8 +220,9 @@ def reg_operator(
     method: SummationMethod,
     degree_cap: int,
 ) -> OperatorSpec:
-    """The finite operator sum_{k=0}^{degree_cap} v_k/k! (T - c)^k, built by
-    symbol arithmetic from exact derivative data.
+    """The finite operator sum_{k=0}^{degree_cap} v_k/k! (T - c)^k from exact
+    derivative data: w_0 (1 - rho (T - c))^(-1) by one series inverse, O(cap^2),
+    when v_k/k! = w_0 rho^k, else the sum of symbol powers, O(cap^3).
 
     The symbol is exact through t^degree_cap and truncated there, so it
     refuses (OrderExceededError) polynomials of higher degree.  Numeric
@@ -229,11 +238,17 @@ def reg_operator(
             "derivative data contains numeric or logarithmic entries; the exact "
             "operator form needs rational values"
         )
-    acc = PowerSeries.constant(0, degree_cap)
-    for k, power in enumerate(_reduction_symbols(T, degree_cap)):
-        v = derivs.values[k]
-        if v != 0:
-            acc = acc + power * (v / math.factorial(k))
+    weights = [v / math.factorial(k) for k, v in enumerate(derivs.values)]
+    rho = _geometric_ratio(weights)
+    if rho is None:
+        acc = PowerSeries.constant(0, degree_cap)
+        for w, power in zip(weights, _reduction_symbols(T, degree_cap)):
+            if w != 0:
+                acc = acc + power * w
+    else:
+        T._check_reach(degree_cap)
+        r_symbol = T.remainder()[1].symbol.truncate(degree_cap)
+        acc = (PowerSeries.constant(1, degree_cap) - r_symbol * rho).inverse() * weights[0]
     return OperatorSpec(acc, label=f"regularized[{f.label}]")
 
 

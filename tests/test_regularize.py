@@ -4,11 +4,12 @@ import dataclasses
 import gc
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from regsum.algebra import Polynomial, binomial_poly, parse_polynomial
 from regsum.operators import (
@@ -395,6 +396,19 @@ def test_reg_operator_inverts_one_plus_shift(h, cap):
     assert half.compose(one_plus).symbol.truncate(cap) == PowerSeries.constant(1, cap)
 
 
+def test_reg_operator_at_degree_171_inverts_one_plus_shift():
+    # Past the float factorials; the geometric weights of alt give one
+    # series inverse, where the symbol powers R^0..R^171 took seconds.
+    cap = 171
+    T = op_shift(1, order=cap)
+    start = time.perf_counter()
+    half = reg_operator(ALT, T, EXACT, cap)
+    elapsed = time.perf_counter() - start
+    one_plus_exp = PowerSeries.constant(1, cap) + T.symbol
+    assert half.symbol * one_plus_exp == PowerSeries.constant(1, cap)
+    assert elapsed < 2.0, elapsed
+
+
 def test_reg_operator_rejects_numeric_entries():
     with pytest.raises(InexactDataError):
         reg_operator(series_custom(ALTLOG.term), op_shift(1), CESARO, 2)
@@ -444,6 +458,33 @@ def test_reg_operator_checks_exactness_before_the_symbol_order():
 
 
 small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+geometric_series = st.one_of(
+    st.just(ALT), st.fractions(-3, 3, max_denominator=4).map(series_geometric))
+
+
+@settings(max_examples=40, deadline=None)
+@given(geometric_series, st.sampled_from(["shift/delta", "diff", "symbol"]),
+       small_rationals, st.sampled_from([0, 1, -2, Fraction(3, 2)]), st.integers(0, 40),
+       st.data())
+def test_geometric_operator_symbol_is_the_weighted_sum_of_symbol_powers(f, kind, h, c, cap, data):
+    # The one-inverse symbol w_0 (1 - rho R)^(-1) equals sum_k v_k/k! R^k,
+    # built here from the reference symbol powers.  T = c + R with R the
+    # remainder of shift:h (= delta:h's), of diff or of a random symbol.
+    if kind == "symbol":
+        R = [0, *data.draw(st.lists(small_rationals, min_size=cap + 1, max_size=cap + 1))]
+    elif kind == "diff":
+        R = PowerSeries.t(cap + 1).coeffs
+    else:
+        R = exp_series(h, cap + 1).coeffs
+    T = OperatorSpec(PowerSeries([c, *R[1:]]))
+    try:
+        values = reg_derivatives(f, c, EXACT, cap).values
+    except NotRegularError:
+        assume(False)
+    expected = PowerSeries.constant(0, cap)
+    for k, power in enumerate(_reduction_symbols(T, cap)):
+        expected = expected + power * (values[k] / math.factorial(k))
+    assert reg_operator(f, T, EXACT, cap).symbol.coeffs == expected.coeffs
 
 
 @st.composite
@@ -466,12 +507,23 @@ def exact_reductions(draw):
     return T, d, P
 
 
-@settings(max_examples=60, deadline=None)
-@given(exact_reductions(), small_rationals)
-def test_operator_form_agrees_with_the_pointwise_sum(case, x):
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(geometric_series, st.just(ALTLOG),
+                 st.lists(small_rationals, min_size=1, max_size=4).map(series_table)),
+       exact_reductions(), small_rationals)
+def test_operator_form_agrees_with_the_pointwise_sum(f, case, x):
+    # Geometric weights take the one-inverse symbol; altlog and tables at
+    # c = 0 take the symbol powers.  Draws with a log or no exact derivative
+    # table (table series at c = 1, say) are skipped.
     T, d, P = case
-    value, _ = reg_sum(ALT, T, P, x, EXACT)
-    assert reg_operator(ALT, T, EXACT, d).apply(P)(x) == value
+    try:
+        exact = reg_derivatives(f, T.constant, EXACT, d).is_exact
+    except NotRegularError:
+        exact = False
+    assume(exact)
+    value, _ = reg_sum(f, T, P, x, EXACT)
+    assert isinstance(value, Fraction)
+    assert reg_operator(f, T, EXACT, d).apply(P)(x) == value
 
 
 def symbol_power_values(T, P, x):
