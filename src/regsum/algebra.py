@@ -215,8 +215,8 @@ def _convolve(a: Sequence, b: Sequence, size: int) -> list:
 
 
 def _power(base, one, n: int):
-    """base ** n (n >= 0) by n products from the unit ``one``: the power of
-    a polynomial and of a series."""
+    """``one`` * base ** n (n >= 0) by n products: from the unit, the power
+    of a polynomial and of a series; from g^j, compose's next power of g."""
     result = one
     for _ in range(n):
         result = result * base

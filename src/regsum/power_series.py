@@ -120,14 +120,17 @@ class PowerSeries(_Frozen):
         return PowerSeries(out)
 
     def compose(self, inner: "PowerSeries") -> "PowerSeries":
-        """Substitute ``inner`` (which must vanish at 0) for t."""
+        """Substitute ``inner`` g (which must vanish at 0) for t: sum_k a_k g^k,
+        each power of g one product from the last, none past the last nonzero
+        a_k.  g^k starts at t^k, so the work is triangular."""
         if inner.coeffs[0] != 0:
             raise DomainError("composition needs inner constant term 0")
         n = min(self.order, inner.order)
-        g = inner if inner.order == n else inner.truncate(n)
-        acc = PowerSeries.constant(self.coeffs[n], n)
-        for k in range(n - 1, -1, -1):
-            acc = acc * g + PowerSeries.constant(self.coeffs[k], n)
+        acc, power, built = PowerSeries.constant(0, n), PowerSeries.constant(1, n), 0
+        for k, a in enumerate(self.coeffs[: n + 1]):
+            if a:
+                power, built = _power(inner, power, k - built), k
+                acc = acc + power * a
         return acc
 
     def to_strings(self) -> list[str]:

@@ -16,8 +16,9 @@ When it is a scaled shift c e^(ht) through t^deg P (``shift:h``,
 ``identity``, a scaled shift), R = c Delta_h, so (R^k P)(x) = c^k times
 the k-th forward difference of P(x), P(x + h), ..., P(x + (deg P) h).
 Every other operator reads the symbols of R^0..R^deg P.  ``reg_operator``
-builds sum_k w_k R^k, w_k = v_k/k!, through t^cap: geometric w_0 rho^k (``alt``,
-``geom:r``) by one inverse w_0 (1 - rho R)^(-1), O(cap^2), others by R^0..R^cap, O(cap^3).
+builds sum_k w_k R^k, w_k = v_k/k!, through t^cap: the weight series composed
+with R(t), O(cap^3), or for geometric w_0 rho^k (``alt``, ``geom:r``) one
+inverse w_0 (1 - rho R)^(-1), O(cap^2).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Union
 
-from .algebra import Polynomial, RationalLike, _translation_weights, as_rational
+from .algebra import Polynomial, RationalLike, as_rational
 # The failures that exit 2 are re-exported from their home in budgets.
 from .budgets import InexactDataError, NotRegularError
 from .operators import OperatorSpec
@@ -156,29 +157,14 @@ def _derivative_blocks(
         yield (nums if target == orders[-1] else nums[:]), den
 
 
-def _reduction_symbols(T: OperatorSpec, d: int) -> list[PowerSeries]:
-    """The symbols of R^0..R^d through t^d, where R = T - c is T's
-    degree-lowering remainder.  Only these coefficients can act on a
-    polynomial of degree d, so a symbol of T shorter than d is refused."""
-    T._check_reach(d)
-    r_symbol = T.remainder()[1].symbol.truncate(d)
-    powers = [PowerSeries.constant(1, d)]
-    for _ in range(d):
-        powers.append(powers[-1] * r_symbol)
-    return powers
-
-
 def _shift_of(T: OperatorSpec, d: int) -> Optional[tuple[Fraction, Fraction]]:
     """(c, h) when T's symbol equals c e^(ht) with c != 0 through t^d, else
-    None: s_0 = c, h = s_1 / c, and s_n = c h^n / n! for every n <= d."""
+    None: s_0 = c, and n! s_n = c h^n is geometric with ratio h."""
     coeffs = T.symbol.coeffs[: d + 1]
-    c = coeffs[0]
-    if c == 0:
+    if coeffs[0] == 0:
         return None
-    h = coeffs[1] / c if d else Fraction(0)
-    if all(s == c * w for s, w in zip(coeffs, _translation_weights(h, d + 1))):
-        return c, h
-    return None
+    h = _geometric_ratio([s * math.factorial(n) for n, s in enumerate(coeffs)])
+    return None if h is None else (coeffs[0], h)
 
 
 def _geometric_ratio(weights: list[Fraction]) -> Optional[Fraction]:
@@ -205,7 +191,11 @@ def _reduced_values(T: OperatorSpec, P: Polynomial, x: Fraction) -> list[Fractio
             table = [b - a for a, b in zip(table, table[1:])]
             scale *= c
         return values
-    powers = _reduction_symbols(T, d)
+    # Kept as one list: freeing each power early read worse on peak_rss_mb.
+    r_symbol = T.remainder()[1].symbol.truncate(d)
+    powers = [PowerSeries.constant(1, d)]
+    for _ in range(d):
+        powers.append(powers[-1] * r_symbol)
     shifted = P.translate(x)
     at_x = [shifted.coeff(n) * math.factorial(n) for n in range(d + 1)]
     return [
@@ -222,7 +212,7 @@ def reg_operator(
 ) -> OperatorSpec:
     """The finite operator sum_{k=0}^{degree_cap} v_k/k! (T - c)^k from exact
     derivative data: w_0 (1 - rho (T - c))^(-1) by one series inverse, O(cap^2),
-    when v_k/k! = w_0 rho^k, else the sum of symbol powers, O(cap^3).
+    when v_k/k! = w_0 rho^k, else the weight series composed with T - c, O(cap^3).
 
     The symbol is exact through t^degree_cap and truncated there, so it
     refuses (OrderExceededError) polynomials of higher degree.  Numeric
@@ -240,15 +230,10 @@ def reg_operator(
         )
     weights = [v / math.factorial(k) for k, v in enumerate(derivs.values)]
     rho = _geometric_ratio(weights)
-    if rho is None:
-        acc = PowerSeries.constant(0, degree_cap)
-        for w, power in zip(weights, _reduction_symbols(T, degree_cap)):
-            if w != 0:
-                acc = acc + power * w
-    else:
-        T._check_reach(degree_cap)
-        r_symbol = T.remainder()[1].symbol.truncate(degree_cap)
-        acc = (PowerSeries.constant(1, degree_cap) - r_symbol * rho).inverse() * weights[0]
+    T._check_reach(degree_cap)
+    r_symbol = T.remainder()[1].symbol.truncate(degree_cap)
+    acc = (PowerSeries(weights).compose(r_symbol) if rho is None else
+           (PowerSeries.constant(1, degree_cap) - r_symbol * rho).inverse() * weights[0])
     return OperatorSpec(acc, label=f"regularized[{f.label}]")
 
 

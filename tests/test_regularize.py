@@ -9,7 +9,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from regsum.algebra import Polynomial, binomial_poly, parse_polynomial
 from regsum.operators import (
@@ -32,7 +32,7 @@ from regsum.regularize import (
     reg_operator,
     reg_sum,
 )
-from regsum.regularize import _derivative_blocks, _reduced_values, _reduction_symbols, _shift_of
+from regsum.regularize import _derivative_blocks, _reduced_values, _shift_of
 from regsum.summation import (
     ConvergenceReport,
     LogValue,
@@ -460,16 +460,31 @@ def test_reg_operator_checks_exactness_before_the_symbol_order():
 small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 geometric_series = st.one_of(
     st.just(ALT), st.fractions(-3, 3, max_denominator=4).map(series_geometric))
+tables = st.lists(small_rationals, min_size=1, max_size=4).map(series_table)
 
 
-@settings(max_examples=40, deadline=None)
-@given(geometric_series, st.sampled_from(["shift/delta", "diff", "symbol"]),
-       small_rationals, st.sampled_from([0, 1, -2, Fraction(3, 2)]), st.integers(0, 40),
+def symbol_powers(T, d):
+    """The symbols of R^0..R^d through t^d, R = T - c, each by one public
+    product from the last: the reference for both reduction routes."""
+    r_symbol = PowerSeries([0, *T.symbol.coeffs[1 : d + 1]])
+    powers = [PowerSeries.constant(1, d)]
+    for _ in range(d):
+        powers.append(powers[-1] * r_symbol)
+    return powers
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.tuples(geometric_series, st.sampled_from([0, 1, -2, Fraction(3, 2)])),
+                 st.tuples(st.one_of(st.just(ALTLOG), tables), st.just(0))),
+       st.sampled_from(["shift/delta", "diff", "symbol"]), small_rationals, st.integers(0, 40),
        st.data())
-def test_geometric_operator_symbol_is_the_weighted_sum_of_symbol_powers(f, kind, h, c, cap, data):
-    # The one-inverse symbol w_0 (1 - rho R)^(-1) equals sum_k v_k/k! R^k,
-    # built here from the reference symbol powers.  T = c + R with R the
-    # remainder of shift:h (= delta:h's), of diff or of a random symbol.
+def test_operator_symbol_is_the_weighted_sum_of_symbol_powers(f_and_c, kind, h, cap, data):
+    # Both routes, the one-inverse symbol w_0 (1 - rho R)^(-1) for geometric
+    # weights and the weight series composed with R(t) for altlog and tables
+    # at c = 0, equal sum_k v_k/k! R^k built from the reference symbol
+    # powers.  T = c + R with R the remainder of shift:h (= delta:h's), of
+    # diff or of a random symbol.
+    f, c = f_and_c
     if kind == "symbol":
         R = [0, *data.draw(st.lists(small_rationals, min_size=cap + 1, max_size=cap + 1))]
     elif kind == "diff":
@@ -482,7 +497,7 @@ def test_geometric_operator_symbol_is_the_weighted_sum_of_symbol_powers(f, kind,
     except NotRegularError:
         assume(False)
     expected = PowerSeries.constant(0, cap)
-    for k, power in enumerate(_reduction_symbols(T, cap)):
+    for k, power in enumerate(symbol_powers(T, cap)):
         expected = expected + power * (values[k] / math.factorial(k))
     assert reg_operator(f, T, EXACT, cap).symbol.coeffs == expected.coeffs
 
@@ -508,13 +523,11 @@ def exact_reductions(draw):
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.one_of(geometric_series, st.just(ALTLOG),
-                 st.lists(small_rationals, min_size=1, max_size=4).map(series_table)),
-       exact_reductions(), small_rationals)
+@given(st.one_of(geometric_series, st.just(ALTLOG), tables), exact_reductions(), small_rationals)
 def test_operator_form_agrees_with_the_pointwise_sum(f, case, x):
     # Geometric weights take the one-inverse symbol; altlog and tables at
-    # c = 0 take the symbol powers.  Draws with a log or no exact derivative
-    # table (table series at c = 1, say) are skipped.
+    # c = 0 take the weight series composed with R(t).  Draws with a log or
+    # no exact derivative table (table series at c = 1, say) are skipped.
     T, d, P = case
     try:
         exact = reg_derivatives(f, T.constant, EXACT, d).is_exact
@@ -528,24 +541,27 @@ def test_operator_form_agrees_with_the_pointwise_sum(f, case, x):
 
 def symbol_power_values(T, P, x):
     """(R^k P)(x) for k = 0..deg P as sum_n [t^n]R^k * P^(n)(x), with the
-    symbol powers from _reduction_symbols and P^(n) by repeated derivatives."""
+    reference symbol powers and P^(n) by repeated derivatives."""
     d = len(P.nums) - 1
     at_x, current = [], P
     for _ in range(d + 1):
         at_x.append(current(x))
         current = current.derivative()
     return [sum((s * v for s, v in zip(power.coeffs, at_x)), Fraction(0))
-            for power in _reduction_symbols(T, d)]
+            for power in symbol_powers(T, d)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(small_rationals, min_size=1, max_size=41).filter(lambda cs: cs[-1] != 0),
        small_rationals, st.one_of(st.just(Fraction(0)), small_rationals),
        st.sampled_from([Fraction(1), Fraction(-2), Fraction(3, 2)]), st.integers(0, 3))
+@example([Fraction(1, 3), -2, 0, Fraction(5, 2)], Fraction(2, 3), Fraction(0), Fraction(1), 0)
+@example([Fraction(-7, 2)], Fraction(1, 5), Fraction(-4, 3), Fraction(-2), 2)
 def test_shift_table_matches_the_symbol_powers(coeffs, x, h, c, extra):
-    # A scaled shift c e^(ht), h = 0 (c times the identity) included, is
-    # read from the forward differences of P(x + n h); the values are the
-    # same Fractions as the symbol-power sum.
+    # A scaled shift c e^(ht), h = 0 (c times the identity, the identity
+    # itself at c = 1) included, is read from the forward differences of
+    # P(x + n h); the values are the same Fractions as the symbol-power sum.
+    # At degree 0 every c != 0 is a shift, read with h = 0.
     P = Polynomial(coeffs)
     d = len(P.nums) - 1
     T = OperatorSpec(exp_series(h, d + extra) * c)
@@ -566,6 +582,17 @@ def test_symbol_that_is_a_shift_below_its_degree_takes_the_symbol_powers(d):
     assert _shift_of(T, d) is None and _shift_of(T, d - 1) == (c, h)
     assert _reduced_values(T, P, x) == symbol_power_values(T, P, x)
     assert _reduced_values(T, P, x) != _reduced_values(OperatorSpec(exp_series(h, d) * c), P, x)
+
+
+@pytest.mark.parametrize("T", [op_delta(Fraction(1, 2), 6), op_delta(-2, 6), op_diff(6),
+                               OperatorSpec(PowerSeries.constant(0, 6))],
+                         ids=["delta:1/2", "delta:-2", "diff", "zero"])
+@pytest.mark.parametrize("d", [0, 1, 6])
+def test_symbol_without_a_constant_is_never_a_shift(T, d):
+    # c = 0: deltas, diff and the zero symbol take the symbol powers.
+    P = Polynomial([Fraction(k + 1, 3) * (-1) ** k for k in range(d + 1)])
+    assert _shift_of(T, d) is None
+    assert _reduced_values(T, P, Fraction(5, 7)) == symbol_power_values(T, P, Fraction(5, 7))
 
 
 def test_truncated_shift_is_refused_before_the_table():
